@@ -28,6 +28,12 @@
 //! cross-checks that all runs produced identical reports (the runner's and
 //! trace cache's determinism contracts) and fails loudly if they did not.
 //!
+//! Each `per_scheme` row also carries `storage_bytes`: the POM-TLB, TSB
+//! and page-table storage the largest of the scheme's jobs allocated
+//! (`JobResult::storage`). A figure that means nothing on the run is
+//! `null`, not `0`: `wall_ns_per_walk` for a scheme that never walks, and
+//! every pool speedup when `--jobs 1` leaves no pool to speak of.
+//!
 //! On top of those three, two persistent-store passes exercise the POMTRC2
 //! disk path: a *record* pass through a cold (or CI-restored) store, then a
 //! *replay* pass through a **fresh** handle over the same directory — the
@@ -102,7 +108,7 @@ use std::time::{Duration, Instant};
 use pom_tlb::{
     default_jobs, run_jobs, run_jobs_chunked, run_jobs_with, share_traces,
     share_traces_with_store, simulations_run, JobResult, RunPolicy, Scheme, ShareOutcome,
-    SimConfig, SimJob,
+    SimConfig, SimJob, StorageBytes,
 };
 use pomtlb_serve::{ServeConfig, Service};
 use pomtlb_trace::TraceStore;
@@ -150,24 +156,29 @@ fn same_reports(a: &[JobResult], b: &[JobResult]) -> bool {
 }
 
 /// Per-scheme aggregation over the serial run: simulated references per
-/// wall-clock second and wall nanoseconds per completed page walk (the
-/// walk-path cost the arena page tables and SoA caches target).
+/// wall-clock second, wall nanoseconds per completed page walk (the
+/// walk-path cost the arena page tables and SoA caches target), and the
+/// largest translation-structure storage any one of the scheme's jobs
+/// allocated.
+#[derive(Default)]
 struct SchemeRow {
     refs: u64,
     page_walks: u64,
     wall_secs: f64,
+    storage: StorageBytes,
 }
 
 fn per_scheme(serial: &[JobResult]) -> BTreeMap<String, SchemeRow> {
     let mut rows: BTreeMap<String, SchemeRow> = BTreeMap::new();
     for r in serial {
         let scheme = r.label.split('/').nth(1).unwrap_or("?").to_string();
-        let row = rows
-            .entry(scheme)
-            .or_insert(SchemeRow { refs: 0, page_walks: 0, wall_secs: 0.0 });
+        let row = rows.entry(scheme).or_default();
         row.refs += r.report.refs;
         row.page_walks += r.report.page_walks;
         row.wall_secs += r.wall.as_secs_f64();
+        row.storage.pom_tlb = row.storage.pom_tlb.max(r.storage.pom_tlb);
+        row.storage.tsb = row.storage.tsb.max(r.storage.tsb);
+        row.storage.page_tables = row.storage.page_tables.max(r.storage.page_tables);
     }
     rows
 }
@@ -196,6 +207,11 @@ fn jnum(v: f64) -> String {
     } else {
         "0.000".to_string()
     }
+}
+
+/// A number that may mean nothing on this run: `null` when absent.
+fn jopt(v: Option<f64>) -> String {
+    v.map_or_else(|| "null".to_string(), jnum)
 }
 
 fn jstr(s: &str) -> String {
@@ -867,18 +883,20 @@ fn main() -> ExitCode {
     let rows = per_scheme(&serial);
     for (i, (scheme, row)) in rows.iter().enumerate() {
         let rps = if row.wall_secs > 0.0 { row.refs as f64 / row.wall_secs } else { 0.0 };
-        let ns_per_walk = if row.page_walks > 0 {
-            row.wall_secs * 1e9 / row.page_walks as f64
-        } else {
-            0.0
-        };
+        // A scheme that never walks has no per-walk cost.
+        let ns_per_walk =
+            (row.page_walks > 0).then(|| row.wall_secs * 1e9 / row.page_walks as f64);
         let _ = writeln!(
             j,
-            "    {}: {{\"refs_per_sec\": {}, \"page_walks\": {}, \"wall_ns_per_walk\": {}}}{}",
+            "    {}: {{\"refs_per_sec\": {}, \"page_walks\": {}, \"wall_ns_per_walk\": {}, \
+             \"storage_bytes\": {{\"pom_tlb\": {}, \"tsb\": {}, \"page_tables\": {}}}}}{}",
             jstr(scheme),
             jnum(rps),
             row.page_walks,
-            jnum(ns_per_walk),
+            jopt(ns_per_walk),
+            row.storage.pom_tlb,
+            row.storage.tsb,
+            row.storage.page_tables,
             if i + 1 < rows.len() { "," } else { "" }
         );
     }
@@ -915,26 +933,26 @@ fn main() -> ExitCode {
     );
     let _ = writeln!(j, "    \"replay_all_hits\": {replay_all_hits}");
     j.push_str("  },\n");
+    // A pool of one worker has no parallel speedup to report: its ratios
+    // to the serial run measure scheduling overhead and host noise only.
+    let pool_ratio =
+        |num: f64, den: f64| (jobs_n > 1 && den > 0.0).then(|| num / den);
     let chunked_secs = chunked_wall.as_secs_f64();
     let chunked_replay_secs = chunked_replay_wall.as_secs_f64();
     j.push_str("  \"chunked\": {\n");
     let _ = writeln!(j, "    \"chunk_refs\": {chunk_refs_n},");
     let _ = writeln!(j, "    \"pooled_wall_ms\": {},", jnum(chunked_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "    \"speedup_vs_serial\": {},",
-        jnum(if chunked_secs > 0.0 { serial_secs / chunked_secs } else { 0.0 })
-    );
+    let _ = writeln!(j, "    \"speedup_vs_serial\": {},", jopt(pool_ratio(serial_secs, chunked_secs)));
     let _ = writeln!(
         j,
         "    \"speedup_vs_whole_job_pool\": {},",
-        jnum(if chunked_secs > 0.0 { parallel_secs / chunked_secs } else { 0.0 })
+        jopt(pool_ratio(parallel_secs, chunked_secs))
     );
     let _ = writeln!(j, "    \"replay_wall_ms\": {},", jnum(chunked_replay_secs * 1e3));
     let _ = writeln!(
         j,
         "    \"replay_speedup_vs_serial\": {},",
-        jnum(if chunked_replay_secs > 0.0 { serial_secs / chunked_replay_secs } else { 0.0 })
+        jopt(pool_ratio(serial_secs, chunked_replay_secs))
     );
     let _ = writeln!(j, "    \"replay_all_hits\": {chunked_replay_all_hits}");
     j.push_str("  },\n");
@@ -947,7 +965,7 @@ fn main() -> ExitCode {
     let _ = writeln!(
         j,
         "    \"chunked_speedup_vs_serial\": {},",
-        jnum(if cons_chunked_secs > 0.0 { cons_secs / cons_chunked_secs } else { 0.0 })
+        jopt(pool_ratio(cons_secs, cons_chunked_secs))
     );
     let _ = writeln!(j, "    \"measured_tenants\": {},", cons_tenancy.measured_tenants);
     let _ = writeln!(j, "    \"dispersion\": {},", jnum(cons_tenancy.dispersion));
@@ -1020,11 +1038,7 @@ fn main() -> ExitCode {
         j.push_str("  },\n");
     }
     let _ = writeln!(j, "  \"parallel_wall_ms\": {},", jnum(parallel_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "  \"speedup\": {},",
-        jnum(if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 })
-    );
+    let _ = writeln!(j, "  \"speedup\": {},", jopt(pool_ratio(serial_secs, parallel_secs)));
     let _ = writeln!(j, "  \"deterministic\": {deterministic}");
     j.push_str("}\n");
 
@@ -1032,9 +1046,10 @@ fn main() -> ExitCode {
         eprintln!("cannot write {out}: {e}");
         return ExitCode::FAILURE;
     }
+    let times = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |v| format!("{v:.2}x"));
     eprintln!(
         "perf_track: serial {:.0} ms, trace-cache {:.0} ms, pooled {:.0} ms on {} workers \
-         -> {:.2}x pool / {:.2}x cache; chunked ({} refs/chunk) {:.0} ms -> {:.2}x; store \
+         -> {} pool / {:.2}x cache; chunked ({} refs/chunk) {:.0} ms -> {}; store \
          replay {:.0} ms ({} hit(s), {} byte(s) mapped); serve cold {cold_ms:.0} ms vs \
          memoized {memoized_ms:.0} ms; {CONC_CLIENTS} concurrent clients {conc_ms:.0} ms vs \
          sequential {seq_ms:.0} ms -> {throughput_x:.2}x; tcp {tcp_ms:.0} ms vs unix \
@@ -1043,11 +1058,11 @@ fn main() -> ExitCode {
         cache_secs * 1e3,
         parallel_secs * 1e3,
         jobs_n,
-        if parallel_secs > 0.0 { serial_secs / parallel_secs } else { 0.0 },
+        times(pool_ratio(serial_secs, parallel_secs)),
         if cache_secs > 0.0 { serial_secs / cache_secs } else { 0.0 },
         chunk_refs_n,
         chunked_secs * 1e3,
-        if chunked_secs > 0.0 { serial_secs / chunked_secs } else { 0.0 },
+        times(pool_ratio(serial_secs, chunked_secs)),
         replay_secs * 1e3,
         replay.store_hits,
         replay.bytes_mapped,

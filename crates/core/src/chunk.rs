@@ -392,6 +392,30 @@ impl ChunkSim {
     pub fn can_snapshot(&self) -> bool {
         matches!(self.stream, StreamSource::Replay(_))
     }
+
+    /// Bytes of translation-structure storage this job has allocated in
+    /// the simulator's own memory. Every [`System`] builds the POM-TLB
+    /// and the TSB whatever its scheme; the page tables grow as the
+    /// stream maps pages.
+    pub fn storage_bytes(&self) -> StorageBytes {
+        StorageBytes {
+            pom_tlb: self.system.pom().storage_bytes(),
+            tsb: self.system.tsb().storage_bytes(),
+            page_tables: self.tables.list.iter().map(VirtTables::storage_bytes).sum(),
+        }
+    }
+}
+
+/// Host bytes a job's translation structures occupy: see
+/// [`ChunkSim::storage_bytes`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StorageBytes {
+    /// The POM-TLB's two partitions, 16 bytes per entry.
+    pub pom_tlb: u64,
+    /// The TSB, 16 bytes per slot.
+    pub tsb: u64,
+    /// Every address space's radix page-table arenas.
+    pub page_tables: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -444,15 +468,15 @@ fn step_chunk(
         let sim = task.sim.get_or_insert_with(|| job.to_simulation().begin());
         sim.advance(chunk_refs);
         if sim.is_done() {
-            Some(sim.finish())
+            Some((sim.finish(), sim.storage_bytes()))
         } else {
             None
         }
     }));
     task.wall += start.elapsed();
     match caught {
-        Ok(Some(report)) => {
-            let result = JobResult { label: job.label.clone(), report, wall: task.wall };
+        Ok(Some((report, storage))) => {
+            let result = JobResult { label: job.label.clone(), report, wall: task.wall, storage };
             Step::Done(Box::new(match policy.soft_timeout {
                 Some(limit) if task.wall > limit => JobOutcome::TimedOut { result, limit },
                 _ if task.failures > 0 => {

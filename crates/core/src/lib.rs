@@ -75,7 +75,7 @@ pub mod system;
 pub mod tenancy;
 
 pub use admission::{AdmissionControl, AdmissionCounters, AdmissionPermit, Busy};
-pub use chunk::{run_jobs_chunked, run_jobs_chunked_with, ChunkSim};
+pub use chunk::{run_jobs_chunked, run_jobs_chunked_with, ChunkSim, StorageBytes};
 pub use config::{PomTlbConfig, SimConfig, SystemConfig};
 pub use deque::StealDeque;
 pub use entry::PomEntry;

@@ -16,11 +16,11 @@
 //! accesses comes from the die-stacked [`pomtlb_dram::Channel`] the system
 //! simulator owns.
 
-use pomtlb_types::{AddressSpace, Gva, Hpa, PageSize, Ppn, Vpn};
+use pomtlb_types::{AddressSpace, Gva, Hpa, PageSize, Ppn, Vpn, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::config::PomTlbConfig;
-use crate::entry::PomEntry;
+use crate::entry::{is_live, PomEntry, KEY_MASK, LRU, PPN, VALID, VM, VPN};
 
 /// Result of a POM-TLB set probe.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +56,7 @@ impl PomTlbStats {
     }
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct Partition {
     size: PageSize,
     base: Hpa,
@@ -66,8 +66,10 @@ struct Partition {
     set_mask: u64,
     /// Bytes one set occupies in the address space (16 × ways).
     set_bytes: u64,
-    /// `n_sets × ways` slots; LRU ages live in each entry (2 bits).
-    slots: Vec<Option<PomEntry>>,
+    /// `n_sets × ways` packed 16-byte entry words ([`crate::entry`]); zero
+    /// is an empty slot. Allocated zeroed, so the pages of sets no entry
+    /// has reached are never touched.
+    slots: Vec<u128>,
     ways: usize,
 }
 
@@ -85,7 +87,7 @@ impl Partition {
             base,
             set_mask: n_sets - 1,
             set_bytes,
-            slots: vec![None; (n_sets * ways as u64) as usize],
+            slots: vec![0; (n_sets * ways as u64) as usize],
             ways: ways as usize,
         }
     }
@@ -116,19 +118,22 @@ impl Partition {
         Hpa::new(self.base.raw() + index * self.set_bytes)
     }
 
-    fn set_slots(&mut self, index: u64) -> &mut [Option<PomEntry>] {
-        let start = (index * self.ways as u64) as usize;
-        &mut self.slots[start..start + self.ways]
-    }
-
-    fn set_slots_ref(&self, index: u64) -> &[Option<PomEntry>] {
-        let start = (index * self.ways as u64) as usize;
-        &self.slots[start..start + self.ways]
+    /// The probe key of `(space, va)` and the slots of the set it maps to.
+    fn probe(&mut self, space: AddressSpace, va: Gva) -> (u128, &mut [u128]) {
+        let key = PomEntry::key(space, Vpn::of(va, self.size).0);
+        let start = (self.set_index(space, va) * self.ways as u64) as usize;
+        (key, &mut self.slots[start..start + self.ways])
     }
 }
 
+/// The way of `slots` whose key bits equal `key`, compared packed.
+#[inline]
+fn find_way(slots: &[u128], key: u128) -> Option<usize> {
+    slots.iter().position(|&w| w & KEY_MASK == key)
+}
+
 /// The two-partition POM-TLB.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PomTlb {
     config: PomTlbConfig,
     small: Partition,
@@ -211,18 +216,13 @@ impl PomTlb {
     /// ages on a hit (the burst carries all four entries, so this costs no
     /// extra DRAM access).
     pub fn lookup(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> Option<PomLookup> {
-        let p = self.partition_mut(size);
-        let vpn = Vpn::of(va, size).0;
-        let index = p.set_index(space, va);
-        let ways = p.ways;
-        let slots = p.set_slots(index);
-        let hit_way = (0..ways).find(|&w| slots[w].is_some_and(|e| e.matches(space, vpn)));
-        match hit_way {
+        let (key, slots) = self.partition_mut(size).probe(space, va);
+        match find_way(slots, key) {
             Some(w) => {
                 age_update(slots, w);
-                let e = slots[w].expect("hit way is occupied");
+                let ppn = PPN.get(slots[w]);
                 self.stats.hits += 1;
-                Some(PomLookup { page_base: Ppn(e.ppn).base(size), size })
+                Some(PomLookup { page_base: Ppn(ppn).base(size), size })
             }
             None => {
                 self.stats.misses += 1;
@@ -233,30 +233,25 @@ impl PomTlb {
 
     /// Installs a translation resolved by a page walk. Returns `true` if a
     /// live entry was displaced (LRU within the set).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the VPN or PPN exceeds its 36-bit field.
     pub fn insert(&mut self, space: AddressSpace, va: Gva, size: PageSize, page_base: Hpa) -> bool {
-        let p = self.partition_mut(size);
-        let vpn = Vpn::of(va, size).0;
-        let ppn = Ppn::of(page_base, size).0;
-        let index = p.set_index(space, va);
-        let ways = p.ways;
-        let slots = p.set_slots(index);
+        let (key, slots) = self.partition_mut(size).probe(space, va);
+        let word = PomEntry::new(space, VPN.get(key), Ppn::of(page_base, size).0).to_word();
         // Refresh in place.
-        if let Some(w) = (0..ways).find(|&w| slots[w].is_some_and(|e| e.matches(space, vpn))) {
-            let mut e = slots[w].expect("occupied");
-            e.ppn = ppn;
-            slots[w] = Some(e);
+        if let Some(w) = find_way(slots, key) {
+            slots[w] = PPN.set(slots[w], PPN.get(word));
             age_update(slots, w);
             return false;
         }
+        let ways = slots.len();
         let victim = (0..ways)
-            .find(|&w| slots[w].is_none())
-            .unwrap_or_else(|| {
-                (0..ways)
-                    .max_by_key(|&w| slots[w].map(|e| e.lru).unwrap_or(u8::MAX))
-                    .expect("ways > 0")
-            });
-        let displaced = slots[victim].is_some();
-        slots[victim] = Some(PomEntry::new(space, vpn, ppn));
+            .find(|&w| !is_live(slots[w]))
+            .unwrap_or_else(|| (0..ways).max_by_key(|&w| LRU.get(slots[w])).expect("ways > 0"));
+        let displaced = is_live(slots[victim]);
+        slots[victim] = word;
         age_update(slots, victim);
         if displaced {
             self.stats.evictions += 1;
@@ -266,18 +261,11 @@ impl PomTlb {
 
     /// Shootdown of one translation. Returns whether it was present.
     pub fn invalidate_page(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> bool {
-        let p = self.partition_mut(size);
-        let vpn = Vpn::of(va, size).0;
-        let index = p.set_index(space, va);
-        let slots = p.set_slots(index);
-        for slot in slots.iter_mut() {
-            if slot.is_some_and(|e| e.matches(space, vpn)) {
-                *slot = None;
-                self.stats.invalidations += 1;
-                return true;
-            }
-        }
-        false
+        let (key, slots) = self.partition_mut(size).probe(space, va);
+        let Some(w) = find_way(slots, key) else { return false };
+        slots[w] = 0;
+        self.stats.invalidations += 1;
+        true
     }
 
     /// Drops every entry of a VM (teardown). Fills `evicted` (cleared
@@ -290,13 +278,15 @@ impl PomTlb {
     /// Takes the output buffer by `&mut` so churn-heavy consolidation runs
     /// (10k VMs tearing down constantly) reuse one allocation instead of
     /// paying a fresh `Vec` per teardown on this hot path.
-    pub fn flush_vm(&mut self, vm: pomtlb_types::VmId, evicted: &mut Vec<Hpa>) {
+    pub fn flush_vm(&mut self, vm: VmId, evicted: &mut Vec<Hpa>) {
         evicted.clear();
+        let mask = VALID.mask() | VM.mask();
+        let owned = VALID.place(1) | VM.place(vm.as_u64());
         for p in [&mut self.small, &mut self.large] {
             let ways = p.ways as u64;
             for i in 0..p.slots.len() {
-                if p.slots[i].is_some_and(|e| e.space.vm == vm) {
-                    p.slots[i] = None;
+                if p.slots[i] & mask == owned {
+                    p.slots[i] = 0;
                     // Reconstruct through the same Eq. (1) helper every
                     // other consumer uses — the shootdown engine scrubs
                     // data-cache copies of exactly these addresses, so a
@@ -311,7 +301,7 @@ impl PomTlb {
 
     /// Valid entries in the given partition.
     pub fn occupancy(&self, size: PageSize) -> u64 {
-        self.partition(size).slots.iter().flatten().count() as u64
+        self.partition(size).slots.iter().filter(|&&w| is_live(w)).count() as u64
     }
 
     /// Total entry capacity across both partitions.
@@ -319,13 +309,17 @@ impl PomTlb {
         (self.small.slots.len() + self.large.slots.len()) as u64
     }
 
+    /// Bytes of entry storage both partitions allocate: 16 per entry.
+    pub fn storage_bytes(&self) -> u64 {
+        self.capacity_entries() * PomEntry::BYTES as u64
+    }
+
     /// Non-timing peek used by tests and the bypass-predictor oracle.
     pub fn contains(&self, space: AddressSpace, va: Gva, size: PageSize) -> bool {
         let p = self.partition(size);
-        let vpn = Vpn::of(va, size).0;
-        p.set_slots_ref(p.set_index(space, va))
-            .iter()
-            .any(|s| s.is_some_and(|e| e.matches(space, vpn)))
+        let key = PomEntry::key(space, Vpn::of(va, size).0);
+        let start = (p.set_index(space, va) * p.ways as u64) as usize;
+        find_way(&p.slots[start..start + p.ways], key).is_some()
     }
 
     /// Fault injection: flips one bit in the PPN field of the `selector`-th
@@ -346,9 +340,10 @@ impl PomTlb {
         let mut nth = selector % live;
         for p in [&mut self.small, &mut self.large] {
             let size = p.size;
-            for e in p.slots.iter_mut().flatten() {
+            for w in p.slots.iter_mut().filter(|w| is_live(**w)) {
                 if nth == 0 {
-                    e.ppn ^= 1u64 << (bit % 36);
+                    *w ^= PPN.place(1 << (bit % PPN.width));
+                    let e = PomEntry::from_word(*w).expect("live word decodes");
                     return Some((e.space, Vpn(e.vpn).base(size), size));
                 }
                 nth -= 1;
@@ -370,15 +365,17 @@ impl PomTlb {
 
 /// Sets way `mru` to age 0 and ages everything younger by one, keeping the
 /// 2-bit saturation of the attr-field LRU (§2.2).
-fn age_update(slots: &mut [Option<PomEntry>], mru: usize) {
-    let mru_age = slots[mru].map(|e| e.lru).unwrap_or(0);
+fn age_update(slots: &mut [u128], mru: usize) {
+    let mru_age = LRU.get(slots[mru]);
     for (w, slot) in slots.iter_mut().enumerate() {
-        if let Some(e) = slot {
-            if w == mru {
-                e.lru = 0;
-            } else if e.lru < mru_age || mru_age == 0 {
-                e.lru = (e.lru + 1).min(3);
-            }
+        if !is_live(*slot) {
+            continue;
+        }
+        let age = LRU.get(*slot);
+        if w == mru {
+            *slot = LRU.set(*slot, 0);
+        } else if age < mru_age || mru_age == 0 {
+            *slot = LRU.set(*slot, (age + 1).min(3));
         }
     }
 }
@@ -409,6 +406,8 @@ mod tests {
         // 8 MB per partition / 64 B per set = 128 Ki sets each.
         assert_eq!(pom.small.n_sets(), 128 << 10);
         assert_eq!(pom.large.n_sets(), 128 << 10);
+        // Stored at the paper's 16 bytes per entry: exactly the capacity.
+        assert_eq!(pom.storage_bytes(), 16 << 20);
     }
 
     #[test]
@@ -587,6 +586,293 @@ mod tests {
             }
         }
         assert!(present as f64 / n as f64 > 0.99, "retained {present}/{n}");
+    }
+
+    #[test]
+    fn high_vm_and_process_ids_do_not_alias() {
+        let mut pom = tiny();
+        let a = AddressSpace::new(VmId(0), ProcessId(0));
+        let b = AddressSpace::new(VmId(4096), ProcessId(0));
+        let c = AddressSpace::new(VmId(0), ProcessId(4096));
+        let va = Gva::new(0x5000);
+        pom.insert(a, va, PageSize::Small4K, Hpa::new(0x1000));
+        assert!(!pom.contains(b, va, PageSize::Small4K));
+        assert!(!pom.contains(c, va, PageSize::Small4K));
+        pom.insert(b, va, PageSize::Small4K, Hpa::new(0x2000));
+        assert_eq!(pom.lookup(a, va, PageSize::Small4K).unwrap().page_base, Hpa::new(0x1000));
+        assert_eq!(pom.lookup(b, va, PageSize::Small4K).unwrap().page_base, Hpa::new(0x2000));
+        let mut evicted = Vec::new();
+        pom.flush_vm(VmId(4096), &mut evicted);
+        assert_eq!(evicted.len(), 1);
+        assert!(pom.contains(a, va, PageSize::Small4K));
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 36 bits")]
+    fn frame_beyond_the_ppn_field_is_rejected() {
+        tiny().insert(space(0), Gva::new(0x1000), PageSize::Small4K, Hpa::new(1 << 48));
+    }
+
+    /// The unpacked `Option<PomEntry>` POM-TLB the packed partitions
+    /// replaced, kept as an independent model of their behaviour.
+    mod reference {
+        use super::super::PomLookup;
+        use crate::entry::PomEntry;
+        use crate::pom_tlb::PomTlbStats;
+        use pomtlb_types::{AddressSpace, Gva, Hpa, PageSize, Ppn, Vpn, VmId};
+
+        pub struct RefPartition {
+            size: PageSize,
+            base: Hpa,
+            n_sets: u64,
+            ways: usize,
+            slots: Vec<Option<PomEntry>>,
+        }
+
+        impl RefPartition {
+            fn set_index(&self, space: AddressSpace, va: Gva) -> u64 {
+                let vpn = Vpn::of(va, self.size).0;
+                let salt = space.vm.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15)
+                    ^ space.process.as_u64().wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+                (vpn ^ (salt >> 32)) % self.n_sets
+            }
+
+            fn set(&mut self, space: AddressSpace, va: Gva) -> &mut [Option<PomEntry>] {
+                let start = self.set_index(space, va) as usize * self.ways;
+                &mut self.slots[start..start + self.ways]
+            }
+        }
+
+        pub struct RefPomTlb {
+            pub small: RefPartition,
+            pub large: RefPartition,
+            pub stats: PomTlbStats,
+        }
+
+        fn age_update(slots: &mut [Option<PomEntry>], mru: usize) {
+            let mru_age = slots[mru].map(|e| e.lru).unwrap_or(0);
+            for (w, slot) in slots.iter_mut().enumerate() {
+                if let Some(e) = slot {
+                    if w == mru {
+                        e.lru = 0;
+                    } else if e.lru < mru_age || mru_age == 0 {
+                        e.lru = (e.lru + 1).min(3);
+                    }
+                }
+            }
+        }
+
+        impl RefPomTlb {
+            pub fn new(small: (Hpa, u64), large: (Hpa, u64), ways: usize) -> RefPomTlb {
+                let part = |size, (base, bytes): (Hpa, u64)| RefPartition {
+                    size,
+                    base,
+                    n_sets: bytes / (16 * ways as u64),
+                    ways,
+                    slots: vec![None; (bytes / 16) as usize],
+                };
+                RefPomTlb {
+                    small: part(PageSize::Small4K, small),
+                    large: part(PageSize::Large2M, large),
+                    stats: PomTlbStats::default(),
+                }
+            }
+
+            fn part(&mut self, size: PageSize) -> &mut RefPartition {
+                match size {
+                    PageSize::Small4K => &mut self.small,
+                    _ => &mut self.large,
+                }
+            }
+
+            pub fn lookup(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> Option<PomLookup> {
+                let vpn = Vpn::of(va, size).0;
+                let slots = self.part(size).set(space, va);
+                match slots.iter().position(|s| s.is_some_and(|e| e.matches(space, vpn))) {
+                    Some(w) => {
+                        age_update(slots, w);
+                        let ppn = slots[w].unwrap().ppn;
+                        self.stats.hits += 1;
+                        Some(PomLookup { page_base: Ppn(ppn).base(size), size })
+                    }
+                    None => {
+                        self.stats.misses += 1;
+                        None
+                    }
+                }
+            }
+
+            pub fn insert(&mut self, space: AddressSpace, va: Gva, size: PageSize, base: Hpa) -> bool {
+                let vpn = Vpn::of(va, size).0;
+                let ppn = Ppn::of(base, size).0;
+                let slots = self.part(size).set(space, va);
+                let ways = slots.len();
+                if let Some(w) = (0..ways).find(|&w| slots[w].is_some_and(|e| e.matches(space, vpn))) {
+                    slots[w].as_mut().unwrap().ppn = ppn;
+                    age_update(slots, w);
+                    return false;
+                }
+                let victim = (0..ways).find(|&w| slots[w].is_none()).unwrap_or_else(|| {
+                    (0..ways).max_by_key(|&w| slots[w].map(|e| e.lru).unwrap_or(u8::MAX)).unwrap()
+                });
+                let displaced = slots[victim].is_some();
+                slots[victim] = Some(PomEntry::new(space, vpn, ppn));
+                age_update(slots, victim);
+                if displaced {
+                    self.stats.evictions += 1;
+                }
+                displaced
+            }
+
+            pub fn invalidate_page(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> bool {
+                let vpn = Vpn::of(va, size).0;
+                for slot in self.part(size).set(space, va) {
+                    if slot.is_some_and(|e| e.matches(space, vpn)) {
+                        *slot = None;
+                        self.stats.invalidations += 1;
+                        return true;
+                    }
+                }
+                false
+            }
+
+            pub fn flush_vm(&mut self, vm: VmId) -> Vec<Hpa> {
+                let mut evicted = Vec::new();
+                for p in [&mut self.small, &mut self.large] {
+                    for i in 0..p.slots.len() {
+                        if p.slots[i].is_some_and(|e| e.space.vm == vm) {
+                            p.slots[i] = None;
+                            let set = (i / p.ways) as u64;
+                            evicted.push(Hpa::new(p.base.raw() + set * 16 * p.ways as u64));
+                        }
+                    }
+                }
+                self.stats.invalidations += evicted.len() as u64;
+                evicted
+            }
+
+            pub fn occupancy(&self, size: PageSize) -> u64 {
+                let p = if size == PageSize::Small4K { &self.small } else { &self.large };
+                p.slots.iter().flatten().count() as u64
+            }
+
+            pub fn contains(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> bool {
+                let vpn = Vpn::of(va, size).0;
+                self.part(size).set(space, va).iter().any(|s| s.is_some_and(|e| e.matches(space, vpn)))
+            }
+
+            pub fn corrupt_entry(&mut self, selector: u64, bit: u32) -> Option<(AddressSpace, Gva, PageSize)> {
+                let live = self.occupancy(PageSize::Small4K) + self.occupancy(PageSize::Large2M);
+                if live == 0 {
+                    return None;
+                }
+                let mut nth = selector % live;
+                for p in [&mut self.small, &mut self.large] {
+                    let size = p.size;
+                    for e in p.slots.iter_mut().flatten() {
+                        if nth == 0 {
+                            e.ppn ^= 1u64 << (bit % 36);
+                            return Some((e.space, Vpn(e.vpn).base(size), size));
+                        }
+                        nth -= 1;
+                    }
+                }
+                None
+            }
+        }
+    }
+
+    /// Replays a seeded script of every mutating and probing operation
+    /// against the packed POM-TLB and the unpacked reference model,
+    /// asserting identical results, statistics and occupancy.
+    #[test]
+    fn packed_matches_unpacked_reference() {
+        let config = PomTlbConfig { capacity_bytes: 8 << 10, ..Default::default() };
+        let mut pom = PomTlb::new(config);
+        let mut model = reference::RefPomTlb::new(
+            (config.base_small, config.small_bytes()),
+            (config.base_large(), config.large_bytes()),
+            config.ways as usize,
+        );
+        // VM IDs past Figure 5's 12 bits and non-zero process IDs, so an
+        // aliasing codec would merge tenants the model keeps apart.
+        let vms = [0u16, 1, 4095, 4096, 9999, u16::MAX];
+        let pids = [0u16, 1, 300, u16::MAX];
+        // Frames at the top of each simulated physical region (host data,
+        // host and guest page-table nodes, guest data) and of the 36-bit
+        // PPN field.
+        let frame_tops = [0x41_0000_0000u64, 0x50_0000_0000, 0x40_4000_0000, 1 << 48];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 17
+        };
+        for step in 0..40_000u32 {
+            let op = next() % 16;
+            let r = next();
+            let space = AddressSpace::new(
+                VmId(vms[(r % 6) as usize]),
+                ProcessId(pids[((r >> 3) % 4) as usize]),
+            );
+            let size = PageSize::POM_SIZES[((r >> 5) & 1) as usize];
+            // A small VPN range keeps sets full; one draw in 16 lands at
+            // the top of the 48-bit virtual address space.
+            let vpn = if (r >> 6).is_multiple_of(16) {
+                (1u64 << (48 - size.shift())) - 1 - (r >> 10) % 4
+            } else {
+                (r >> 10) % 512
+            };
+            let va = Gva::new((vpn << size.shift()) | ((r >> 20) & 0xfff));
+            let base = if (r >> 30).is_multiple_of(8) {
+                Hpa::new(frame_tops[((r >> 33) % 4) as usize] - size.bytes())
+            } else {
+                Hpa::new(((r >> 33) % 4096) << size.shift())
+            };
+            match op {
+                0..=5 => assert_eq!(
+                    pom.insert(space, va, size, base),
+                    model.insert(space, va, size, base),
+                    "insert diverged at step {step}"
+                ),
+                6..=11 => assert_eq!(
+                    pom.lookup(space, va, size),
+                    model.lookup(space, va, size),
+                    "lookup diverged at step {step}"
+                ),
+                12 => assert_eq!(
+                    pom.invalidate_page(space, va, size),
+                    model.invalidate_page(space, va, size),
+                    "invalidate diverged at step {step}"
+                ),
+                13 => assert_eq!(
+                    pom.contains(space, va, size),
+                    model.contains(space, va, size),
+                    "contains diverged at step {step}"
+                ),
+                14 if r.is_multiple_of(8) => {
+                    let mut evicted = Vec::new();
+                    pom.flush_vm(space.vm, &mut evicted);
+                    assert_eq!(evicted, model.flush_vm(space.vm), "flush diverged at step {step}");
+                }
+                15 => assert_eq!(
+                    pom.corrupt_entry(r, (r >> 7) as u32),
+                    model.corrupt_entry(r, (r >> 7) as u32),
+                    "corrupt diverged at step {step}"
+                ),
+                _ => {}
+            }
+            if step.is_multiple_of(1000) {
+                for size in PageSize::POM_SIZES {
+                    assert_eq!(pom.occupancy(size), model.occupancy(size), "occupancy at step {step}");
+                }
+            }
+        }
+        assert_eq!(*pom.stats(), model.stats);
+        for size in PageSize::POM_SIZES {
+            assert_eq!(pom.occupancy(size), model.occupancy(size));
+        }
+        let s = pom.stats();
+        assert!(s.hits > 0 && s.misses > 0 && s.evictions > 0 && s.invalidations > 0, "{s:?}");
     }
 
     proptest! {

@@ -26,6 +26,7 @@ use std::time::{Duration, Instant};
 
 use pomtlb_trace::{SharedTrace, TraceKey, TraceStore, WorkloadSpec};
 
+use crate::chunk::StorageBytes;
 use crate::config::{SimConfig, SystemConfig};
 use crate::fault::FaultConfig;
 use crate::report::SimReport;
@@ -155,10 +156,17 @@ impl SimJob {
     /// sabotaged attempts remain, or if the simulation itself panics
     /// (e.g. the stale watchdog fires without fault injection armed).
     pub fn run(&self) -> SimReport {
+        self.run_measured().0
+    }
+
+    /// [`SimJob::run`], also returning the storage the run allocated.
+    fn run_measured(&self) -> (SimReport, StorageBytes) {
         if let Some(sabotage) = &self.sabotage {
             sabotage.trip();
         }
-        self.to_simulation().run()
+        let mut sim = self.to_simulation().begin();
+        sim.advance(u64::MAX);
+        (sim.finish(), sim.storage_bytes())
     }
 
     /// Builds the [`Simulation`] this job describes, without running it.
@@ -295,6 +303,8 @@ pub struct JobResult {
     pub report: SimReport,
     /// Wall time this job took on its worker.
     pub wall: Duration,
+    /// Translation-structure storage the job allocated.
+    pub storage: StorageBytes,
 }
 
 impl JobResult {
@@ -470,11 +480,11 @@ fn run_one(job: &SimJob, policy: &RunPolicy, deadline_at: Option<Instant>) -> Jo
         }
         attempts += 1;
         let start = Instant::now();
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run()));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_measured()));
         let wall = start.elapsed();
         match caught {
-            Ok(report) => {
-                let result = JobResult { label: job.label.clone(), report, wall };
+            Ok((report, storage)) => {
+                let result = JobResult { label: job.label.clone(), report, wall, storage };
                 if let Some(limit) = policy.soft_timeout {
                     if wall > limit {
                         return JobOutcome::TimedOut { result, limit };
@@ -645,6 +655,19 @@ mod tests {
         let labels: Vec<String> = run_jobs(batch(), 4).into_iter().map(|r| r.label).collect();
         let expected: Vec<String> = batch().into_iter().map(|j| j.label).collect();
         assert_eq!(labels, expected);
+    }
+
+    #[test]
+    fn default_system_stores_pom_tlb_and_tsb_in_32_mib() {
+        // 1 Mi POM-TLB entries and 1 Mi TSB slots at 16 bytes each. Every
+        // scheme builds both today (decoded `Option` slots took 56 MiB).
+        let chunked = crate::run_jobs_chunked(batch(), 1, 700);
+        for (r, chunked) in run_jobs(batch(), 1).into_iter().zip(chunked) {
+            assert_eq!(r.storage.pom_tlb, 16 << 20, "{}", r.label);
+            assert_eq!(r.storage.tsb, 16 << 20, "{}", r.label);
+            assert!(r.storage.page_tables > 0, "{}", r.label);
+            assert_eq!(chunked.storage, r.storage, "{}: chunking moved the storage", r.label);
+        }
     }
 
     /// Full-fidelity report fingerprint: JSON when serde_json is

@@ -182,6 +182,11 @@ impl System {
         &self.pom
     }
 
+    /// The TSB structure (inspection).
+    pub(crate) fn tsb(&self) -> &Tsb {
+        &self.tsb
+    }
+
     /// Switches per-tenant QoS accounting on for a `vms`-tenant
     /// consolidation run. Costs one flat `vms × 26`-counter array; without
     /// this call the accounting is a single branch per reference.

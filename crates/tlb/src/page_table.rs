@@ -138,9 +138,12 @@ const IDX_MASK: u64 = 0x1ff;
 /// Slot entries per radix node: 512 eight-byte PTEs in a 4 KB node page.
 const NODE_SLOTS: usize = 512;
 
-/// Slot-word tag distinguishing leaves from child links. Simulated physical
-/// addresses stay far below 2^63, so the top bit is free to carry it.
-const LEAF_BIT: u64 = 1 << 63;
+/// Slot-word tag distinguishing leaves from child links.
+const LEAF_BIT: u32 = 1 << 31;
+
+/// A leaf stores its target as a 4 KB frame number: every mapping is at
+/// least 4 KB-aligned, so the low 12 bits carry nothing.
+const FRAME_SHIFT: u32 = 12;
 
 /// Shifts of the four x86-64 radix levels, root-first.
 const LEVEL_SHIFTS: [u32; 4] = [39, 30, 21, 12];
@@ -148,14 +151,18 @@ const LEVEL_SHIFTS: [u32; 4] = [39, 30, 21, 12];
 /// One 4-level x86-style radix page table, stored as a flat node arena.
 ///
 /// Every node — root included — lives in one contiguous slot vector, 512
-/// slot words per node; `node_phys[i]` holds the simulated physical address
-/// of node `i`. A slot word is one of:
+/// four-byte slot words per node; `node_phys[i]` holds the simulated
+/// physical address of node `i`. A slot word is one of:
 ///
 /// * `0` — empty;
 /// * a **child link**: the child's arena index plus one (the `+1` keeps
-///   index 0, the root, distinguishable from "empty"; indices fit in `u32`
-///   with room to spare);
-/// * a **leaf**: the mapped target base address with [`LEAF_BIT`] set.
+///   index 0, the root, distinguishable from "empty"), below 2^31;
+/// * a **leaf**: the mapped target's 4 KB frame number with [`LEAF_BIT`]
+///   (bit 31) set, so targets must lie below 2^43 — the simulated physical
+///   regions end below 2^39.
+///
+/// Both bounds are `assert!`ed where a word is built: a release build that
+/// truncated a frame number would silently serve another page's frame.
 ///
 /// Translations and walks descend by indexed loads only — no hashing.
 /// This is the simulator's hottest data structure: `translate_page` runs
@@ -170,7 +177,7 @@ pub struct RadixPageTable {
     root: u64,
     /// Slot words of every node, concatenated: node `i` owns
     /// `slots[i * NODE_SLOTS .. (i + 1) * NODE_SLOTS]`.
-    slots: Vec<u64>,
+    slots: Vec<u32>,
     /// Physical address of each arena node; index 0 is the root.
     node_phys: Vec<u64>,
     n_small: u64,
@@ -210,7 +217,7 @@ impl RadixPageTable {
     fn add_node(&mut self) -> usize {
         let phys = self.alloc.alloc(NODE_BYTES);
         let idx = self.node_phys.len();
-        assert!(idx <= u32::MAX as usize, "arena index exceeds u32 child links");
+        assert!(idx < (LEAF_BIT - 1) as usize, "arena index {idx} exceeds 31-bit child links");
         self.node_phys.push(phys);
         self.slots.resize(self.slots.len() + NODE_SLOTS, 0);
         self.new_nodes.push(phys);
@@ -230,7 +237,10 @@ impl RadixPageTable {
         assert!(size != PageSize::Huge1G, "1 GB pages are not modeled");
         assert_eq!(va & (size.bytes() - 1), 0, "va {va:#x} not {size}-aligned");
         assert_eq!(target_base & (size.bytes() - 1), 0, "target {target_base:#x} not {size}-aligned");
-        debug_assert!(target_base < LEAF_BIT, "target {target_base:#x} collides with the leaf tag");
+        assert!(
+            target_base >> FRAME_SHIFT < LEAF_BIT as u64,
+            "target {target_base:#x} exceeds the 31-bit leaf frame field"
+        );
         let leaf_level = match size {
             PageSize::Small4K => 3, // leaf slot in the L1 node
             PageSize::Large2M => 2, // leaf slot in the L2 node
@@ -242,7 +252,7 @@ impl RadixPageTable {
             let slot = self.slots[pos];
             node = if slot == 0 {
                 let child = self.add_node();
-                self.slots[pos] = child as u64 + 1;
+                self.slots[pos] = child as u32 + 1;
                 child
             } else {
                 assert!(
@@ -265,7 +275,7 @@ impl RadixPageTable {
                 PageSize::Huge1G => unreachable!(),
             }
         }
-        self.slots[pos] = target_base | LEAF_BIT;
+        self.slots[pos] = (target_base >> FRAME_SHIFT) as u32 | LEAF_BIT;
     }
 
     /// Translates `va` (any offset), returning the mapped base and size.
@@ -281,7 +291,7 @@ impl RadixPageTable {
                 // node (level 3) a 4 KB page. Leaves never appear higher
                 // (1 GB pages are not modeled).
                 let size = if level == 3 { PageSize::Small4K } else { PageSize::Large2M };
-                return Some((slot & !LEAF_BIT, size));
+                return Some((leaf_target(slot), size));
             }
             node = (slot - 1) as usize;
         }
@@ -312,7 +322,7 @@ impl RadixPageTable {
             pte_addrs.push(phys + idx as u64 * PTE_BYTES);
             if slot & LEAF_BIT != 0 {
                 let size = if level == 3 { PageSize::Small4K } else { PageSize::Large2M };
-                return Some(WalkPath { pte_addrs, node_addrs, target_base: slot & !LEAF_BIT, size });
+                return Some(WalkPath { pte_addrs, node_addrs, target_base: leaf_target(slot), size });
             }
             node = (slot - 1) as usize;
         }
@@ -354,9 +364,16 @@ impl RadixPageTable {
         std::mem::take(&mut self.new_nodes)
     }
 
-    /// Bytes of node storage allocated so far.
+    /// Bytes of node storage allocated so far, in simulated physical
+    /// memory (4 KB per node).
     pub fn node_bytes(&self) -> u64 {
         self.node_phys.len() as u64 * NODE_BYTES
+    }
+
+    /// Bytes the arena itself occupies in the simulator: slot words plus
+    /// the node address list.
+    pub fn storage_bytes(&self) -> u64 {
+        arena_bytes(&self.slots, &self.node_phys)
     }
 
     /// Captures the table's complete state. The arena layout makes this a
@@ -403,7 +420,7 @@ impl RadixPageTable {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TableSnapshot {
     root: u64,
-    slots: Vec<u64>,
+    slots: Vec<u32>,
     node_phys: Vec<u64>,
     n_small: u64,
     n_large: u64,
@@ -414,13 +431,23 @@ pub struct TableSnapshot {
 impl TableSnapshot {
     /// Bytes of arena state this snapshot carries (slot words + node list).
     pub fn arena_bytes(&self) -> u64 {
-        (self.slots.len() * 8 + self.node_phys.len() * 8) as u64
+        arena_bytes(&self.slots, &self.node_phys)
     }
 
     /// Number of leaf mappings the captured table held.
     pub fn mapping_count(&self) -> u64 {
         self.n_small + self.n_large
     }
+}
+
+/// The base address a leaf slot word maps to.
+#[inline]
+fn leaf_target(slot: u32) -> u64 {
+    ((slot & !LEAF_BIT) as u64) << FRAME_SHIFT
+}
+
+fn arena_bytes(slots: &[u32], node_phys: &[u64]) -> u64 {
+    (std::mem::size_of_val(slots) + std::mem::size_of_val(node_phys)) as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -620,6 +647,12 @@ impl VirtTables {
     /// Total page-table node bytes across both dimensions.
     pub fn node_bytes(&self) -> u64 {
         self.host.node_bytes() + self.guest.as_ref().map_or(0, |g| g.node_bytes())
+    }
+
+    /// Bytes both dimensions' arenas occupy in the simulator
+    /// ([`RadixPageTable::storage_bytes`]).
+    pub fn storage_bytes(&self) -> u64 {
+        self.host.storage_bytes() + self.guest.as_ref().map_or(0, RadixPageTable::storage_bytes)
     }
 
     /// Captures the full translation state of this address space: both
@@ -970,6 +1003,170 @@ mod tests {
         let native = VirtTables::new(WalkMode::Native);
         let mut virt = VirtTables::new(WalkMode::Virtualized);
         virt.restore(&native.snapshot());
+    }
+
+    #[test]
+    #[should_panic(expected = "31-bit leaf frame field")]
+    fn target_beyond_the_leaf_frame_field_is_rejected() {
+        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
+        t.map(0x1000, PageSize::Small4K, 1 << 43);
+    }
+
+    #[test]
+    fn storage_is_four_bytes_per_slot() {
+        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
+        assert_eq!(t.storage_bytes(), 512 * 4 + 8, "root node: 512 slots + its address");
+        t.map(0x1000_0000_0000, PageSize::Small4K, 0x1000);
+        assert_eq!(t.storage_bytes(), 4 * (512 * 4 + 8));
+        assert_eq!(t.snapshot().arena_bytes(), t.storage_bytes());
+    }
+
+    /// The `u64`-slot radix table the 4-byte slots replaced — a leaf holds
+    /// the full target address with bit 63 set — kept as an independent
+    /// model of their behaviour.
+    struct RefTable {
+        slots: Vec<u64>,
+        node_phys: Vec<u64>,
+        n_mapped: u64,
+        alloc: FrameAlloc,
+    }
+
+    impl RefTable {
+        const LEAF: u64 = 1 << 63;
+
+        fn new(mut alloc: FrameAlloc) -> RefTable {
+            let root = alloc.alloc(NODE_BYTES);
+            RefTable { slots: vec![0; NODE_SLOTS], node_phys: vec![root], n_mapped: 0, alloc }
+        }
+
+        fn pos(node: usize, va: u64, level: usize) -> usize {
+            node * NODE_SLOTS + ((va >> LEVEL_SHIFTS[level]) & IDX_MASK) as usize
+        }
+
+        fn map(&mut self, va: u64, size: PageSize, target: u64) {
+            let leaf_level = if size == PageSize::Small4K { 3 } else { 2 };
+            let mut node = 0;
+            for level in 0..leaf_level {
+                let pos = Self::pos(node, va, level);
+                if self.slots[pos] == 0 {
+                    self.node_phys.push(self.alloc.alloc(NODE_BYTES));
+                    self.slots.resize(self.slots.len() + NODE_SLOTS, 0);
+                    // The new node's index plus one.
+                    self.slots[pos] = self.node_phys.len() as u64;
+                }
+                node = (self.slots[pos] - 1) as usize;
+            }
+            let pos = Self::pos(node, va, leaf_level);
+            if self.slots[pos] == 0 {
+                self.n_mapped += 1;
+            }
+            self.slots[pos] = target | Self::LEAF;
+        }
+
+        fn walk(&self, va: u64) -> Option<WalkPath> {
+            let (mut pte_addrs, mut node_addrs, mut node) = (PathLevels::new(), PathLevels::new(), 0);
+            for level in 0..4 {
+                let pos = Self::pos(node, va, level);
+                let slot = self.slots[pos];
+                if slot == 0 {
+                    return None;
+                }
+                let phys = self.node_phys[node];
+                node_addrs.push(phys);
+                pte_addrs.push(phys + (pos - node * NODE_SLOTS) as u64 * PTE_BYTES);
+                if slot & Self::LEAF != 0 {
+                    let size = if level == 3 { PageSize::Small4K } else { PageSize::Large2M };
+                    return Some(WalkPath { pte_addrs, node_addrs, target_base: slot & !Self::LEAF, size });
+                }
+                node = (slot - 1) as usize;
+            }
+            None
+        }
+
+        fn translate(&self, va: u64) -> Option<u64> {
+            self.walk(va).map(|w| w.target_base + (va & (w.size.bytes() - 1)))
+        }
+
+        fn unmap(&mut self, va: u64, size: PageSize) -> bool {
+            let leaf_level = if size == PageSize::Small4K { 3 } else { 2 };
+            let mut node = 0;
+            for level in 0..leaf_level {
+                let slot = self.slots[Self::pos(node, va, level)];
+                if slot == 0 || slot & Self::LEAF != 0 {
+                    return false;
+                }
+                node = (slot - 1) as usize;
+            }
+            let pos = Self::pos(node, va, leaf_level);
+            if self.slots[pos] & Self::LEAF == 0 {
+                return false;
+            }
+            self.slots[pos] = 0;
+            self.n_mapped -= 1;
+            true
+        }
+    }
+
+    /// Replays a seeded map/unmap/translate/walk script against the 4-byte
+    /// slot table and the `u64`-slot reference model, asserting identical
+    /// results, mapping counts and node allocation.
+    #[test]
+    fn packed_slots_match_u64_reference() {
+        // Node pages at the top of the host page-table region, so every
+        // child link and walk address is as large as the layout allows.
+        let alloc = FrameAlloc::new(HPA_NODE_BASE + HPA_NODE_SIZE - (64 << 20), 64 << 20);
+        let mut t = RadixPageTable::new(alloc.clone());
+        let mut model = RefTable::new(alloc);
+        // Targets at the top of each simulated physical region.
+        let tops = [
+            GPA_DATA_BASE + GPA_DATA_SIZE,
+            GPA_NODE_BASE + GPA_NODE_SIZE,
+            HPA_DATA_BASE + HPA_DATA_SIZE,
+            HPA_NODE_BASE + HPA_NODE_SIZE,
+        ];
+        // 4 KB and 2 MB pages live in disjoint 1 GB windows (the table
+        // does not model mixing them under one 2 MB prefix); one window of
+        // each sits at the top of the 48-bit virtual address space.
+        let windows = [(0x1000_0000_0000u64, 0x2000_0000_0000u64), (0x7fff_0000_0000, 0x7fff_8000_0000)];
+        let mut x = 0x51ed_2701_f3a5_c4b9u64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 17
+        };
+        for step in 0..30_000u32 {
+            let op = next() % 8;
+            let r = next();
+            let size = PageSize::POM_SIZES[(r & 1) as usize];
+            let (small_base, large_base) = windows[((r >> 1) % 2) as usize];
+            let va = match size {
+                PageSize::Small4K => small_base + (((r >> 2) % 4096) << 12),
+                _ => large_base + (((r >> 2) % 256) << 21),
+            };
+            let target = if (r >> 20).is_multiple_of(8) {
+                tops[((r >> 23) % 4) as usize] - size.bytes()
+            } else {
+                ((r >> 23) % 4096) << size.shift()
+            };
+            let probe = va + (r >> 40) % size.bytes();
+            match op {
+                0..=2 => {
+                    t.map(va, size, target);
+                    model.map(va, size, target);
+                }
+                3 => assert_eq!(t.unmap(va, size), model.unmap(va, size), "unmap diverged at step {step}"),
+                4..=5 => assert_eq!(t.translate(probe), model.translate(probe), "translate at step {step}"),
+                _ => assert_eq!(t.walk(probe), model.walk(probe), "walk diverged at step {step}"),
+            }
+            if step.is_multiple_of(1000) {
+                assert_eq!(t.mapping_count(), model.n_mapped, "mapping count at step {step}");
+                assert_eq!(t.node_phys, model.node_phys, "node allocation at step {step}");
+            }
+        }
+        assert_eq!(t.mapping_count(), model.n_mapped);
+        assert!(t.mapping_count() > 1000);
+        assert_eq!(t.node_phys, model.node_phys);
+        let halved = t.slots.len() * 4;
+        assert_eq!(model.slots.len() * 8, 2 * halved, "same slots at half the bytes");
     }
 
     #[test]

@@ -19,6 +19,7 @@
 #![warn(missing_docs)]
 
 pub mod addr;
+pub mod bits;
 pub mod cycles;
 pub mod fasthash;
 pub mod ids;
@@ -26,6 +27,7 @@ pub mod page;
 pub mod simd;
 
 pub use addr::{Gpa, Gva, Hpa};
+pub use bits::Field;
 pub use cycles::Cycles;
 pub use fasthash::{FastHasher, FastMap, FastSet};
 pub use ids::{AddressSpace, CoreId, ProcessId, VmId};
