@@ -26,17 +26,23 @@
 //! killed mid-run restarts where it stopped. Simulations are
 //! deterministic, so a resumed run's output is byte-identical to an
 //! uninterrupted one.
+//!
+//! `--fingerprint` prints one report digest per Figs. 8–12 cell instead of
+//! the figures (see `pomtlb_bench::fingerprint`); at `--quick` it is the
+//! committed `results/paper_fingerprint_quick.tsv`.
 
 use std::fs;
 use std::process::ExitCode;
 
 use pomtlb_bench::figures::{self, Figure};
+use pomtlb_bench::fingerprint::paper_fingerprint;
 use pomtlb_bench::matrix::{ExpConfig, Matrix};
 use pomtlb_trace::TraceStore;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
+    let mut fingerprint = false;
     let mut jobs = 1usize;
     let mut trace_cache = false;
     let mut trace_cache_dir: Option<String> = None;
@@ -48,6 +54,7 @@ fn main() -> ExitCode {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--quick" => quick = true,
+            "--fingerprint" => fingerprint = true,
             "--trace-cache" => trace_cache = true,
             "--trace-cache-dir" => match it.next() {
                 Some(dir) => trace_cache_dir = Some(dir),
@@ -102,6 +109,10 @@ fn main() -> ExitCode {
     }
 
     let cfg = if quick { ExpConfig::quick() } else { ExpConfig::standard() };
+    if fingerprint {
+        print!("{}", paper_fingerprint(cfg, jobs));
+        return ExitCode::SUCCESS;
+    }
     let mut matrix = Matrix::new(cfg);
     matrix.set_trace_cache(trace_cache);
     if let Some(dir) = &trace_cache_dir {
@@ -212,6 +223,7 @@ fn print_help() {
         "usage: experiments [--quick] [--jobs N|auto] [--trace-cache] \
          [--trace-cache-dir DIR] [--checkpoint FILE [--resume]] [--json DIR] [ARTIFACT...]"
     );
+    eprintln!("  --fingerprint          print one report digest per Figs. 8-12 cell instead");
     eprintln!("  --trace-cache-dir DIR  persist shared recordings to a POMTRC2 store");
     eprintln!("                         (implies --trace-cache; warm runs skip generation)");
     eprintln!("  --checkpoint FILE      journal each completed simulation to FILE");

@@ -8,12 +8,15 @@
 //! * [`figures`] — one constructor per paper artifact (`table1`, `table2`,
 //!   `fig1` … `fig12`, plus the §4.6 sweeps and two ablations), each
 //!   returning a printable/serializable [`figures::Figure`];
+//! * [`fingerprint`] — a per-cell report digest of Figs. 8–12, the
+//!   committed byte-identity check for refactors;
 //! * the `experiments` binary wires these to a tiny CLI.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
+pub mod fingerprint;
 pub mod matrix;
 
 pub use figures::Figure;

@@ -339,6 +339,17 @@ impl Matrix {
         self.cfg
     }
 
+    /// The `(workload, cell)` keys plan mode has recorded so far, in
+    /// first-request order; `cell` is `"{scheme:?}/{variant}"`.
+    pub fn planned_cells(&self) -> Vec<(String, String)> {
+        self.planned.iter().map(|(key, _)| key.clone()).collect()
+    }
+
+    /// The report cached under a key [`Matrix::planned_cells`] returned.
+    pub fn cached(&self, workload: &str, cell: &str) -> Option<&SimReport> {
+        self.cache.get(&(workload.to_string(), cell.to_string()))
+    }
+
     /// Simulates (or recalls) `workload` under `scheme` on the default
     /// Table 1 system.
     pub fn report(&mut self, w: &PaperWorkload, scheme: Scheme) -> SimReport {

@@ -1864,9 +1864,10 @@ mod tests {
     #[test]
     fn fault_sweep_rows_respect_detection_mode() {
         let w = by_name("gups").unwrap();
-        // 50k total accesses: at the default per-10k rates every scheme —
-        // including Baseline, which only sees the shootdown-borne kinds —
-        // applies some fault with near-certainty under the pinned seed.
+        // 50k total accesses: at the default per-10k rates the POM-TLB rows
+        // apply some fault with near-certainty under the pinned seed. The
+        // other machines have no POM-TLB array, so only dropped IPIs can
+        // reach them, and on gups those rarely find a stale entry to leave.
         let o = Options { cores: 2, refs: 20_000, warmup: 5_000, ..Default::default() };
         let (jobs, detect) = fault_sweep_jobs(&w, &o);
         // Run through the chunked scheduler: fault injection must behave
@@ -1889,7 +1890,12 @@ mod tests {
         // off. (Detection *counts* need longer runs — the CI fault-smoke
         // job asserts those via --assert-detection.)
         for row in &rows {
-            assert!(row.faults.injected_total() > 0, "{}: faults were injected", row.scheme);
+            let f = &row.faults;
+            if row.scheme.starts_with("POM-TLB") {
+                assert!(f.injected_total() > 0, "{}: faults were injected", row.scheme);
+            } else {
+                assert_eq!(f.injected_total(), f.injected_dropped_ipis, "{}: {f:?}", row.scheme);
+            }
             if row.consistency {
                 assert_eq!(row.faults.escapes, 0, "{}: no escapes with detection on", row.scheme);
             } else {

@@ -57,13 +57,14 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use pomtlb_tlb::{VirtTables, WalkMode, MAX_REGIONS};
+use pomtlb_tlb::{Tsb, VirtTables, WalkMode, MAX_REGIONS};
 use pomtlb_trace::{
     AddressLayout, CoreItem, Interleaver, SharedTraceIter, TraceItem, WorkloadStream,
 };
 use pomtlb_types::{AddressSpace, Cycles, ProcessId, VmId};
 
 use crate::deque::StealDeque;
+use crate::pom_tlb::PomTlb;
 use crate::report::SimReport;
 use crate::runner::{
     lock_clean, panic_text, run_jobs_with, JobOutcome, JobResult, RunPolicy, SimJob,
@@ -394,13 +395,13 @@ impl ChunkSim {
     }
 
     /// Bytes of translation-structure storage this job has allocated in
-    /// the simulator's own memory. Every [`System`] builds the POM-TLB
-    /// and the TSB whatever its scheme; the page tables grow as the
-    /// stream maps pages.
+    /// the simulator's own memory. A [`System`] builds only its scheme's
+    /// in-DRAM structure (the POM-TLB or the TSB, or neither); the page
+    /// tables grow as the stream maps pages.
     pub fn storage_bytes(&self) -> StorageBytes {
         StorageBytes {
-            pom_tlb: self.system.pom().storage_bytes(),
-            tsb: self.system.tsb().storage_bytes(),
+            pom_tlb: self.system.pom().map_or(0, PomTlb::storage_bytes),
+            tsb: self.system.tsb().map_or(0, Tsb::storage_bytes),
             page_tables: self.tables.list.iter().map(VirtTables::storage_bytes).sum(),
         }
     }

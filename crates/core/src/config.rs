@@ -4,9 +4,10 @@
 use pomtlb_cache::HierarchyConfig;
 use pomtlb_dram::DramTiming;
 use pomtlb_tlb::{MmuConfig, PscConfig, TsbConfig, WalkMode};
-use pomtlb_types::Hpa;
+use pomtlb_types::{AddressSpace, Gva, Hpa, PageSize};
 use serde::{Deserialize, Serialize};
 
+use crate::pom_tlb::eq1_set_index;
 use crate::shootdown::ShootdownCost;
 
 /// Geometry and placement of the POM-TLB itself.
@@ -22,11 +23,6 @@ pub struct PomTlbConfig {
     pub ways: u32,
     /// Base host-physical address of the 4 KB partition.
     pub base_small: Hpa,
-    /// Whether POM-TLB lines may be cached in the L2/L3 data caches
-    /// (Figure 12's ablation turns this off).
-    pub cache_entries: bool,
-    /// Whether the cache-bypass predictor is active (§2.1.5).
-    pub bypass_predictor: bool,
 }
 
 impl Default for PomTlbConfig {
@@ -36,8 +32,6 @@ impl Default for PomTlbConfig {
             small_fraction: 0.5,
             ways: 4,
             base_small: Hpa::new(0x60_0000_0000),
-            cache_entries: true,
-            bypass_predictor: true,
         }
     }
 }
@@ -58,6 +52,35 @@ impl PomTlbConfig {
     /// after the small partition).
     pub fn base_large(&self) -> Hpa {
         Hpa::new(self.base_small.raw() + self.small_bytes())
+    }
+
+    /// Sets in the `size` partition: one set is `ways` 16-byte entries, so
+    /// with the paper's 4 ways a set is exactly one 64-byte burst. The
+    /// associativity ablation (DESIGN.md abl1) varies `ways`.
+    ///
+    /// # Panics
+    ///
+    /// Panics for 1 GB pages, which have no partition, and if the geometry
+    /// is degenerate: zero ways, or a set count that is not a power of two
+    /// (Eq. (1) extracts the index with a mask).
+    pub fn n_sets(&self, size: PageSize) -> u64 {
+        assert!(self.ways > 0, "associativity must be nonzero");
+        let bytes = match size {
+            PageSize::Small4K => self.small_bytes(),
+            PageSize::Large2M => self.large_bytes(),
+            PageSize::Huge1G => panic!("1 GB pages have no POM-TLB partition"),
+        };
+        let n_sets = bytes / (16 * u64::from(self.ways));
+        assert!(n_sets > 0 && n_sets.is_power_of_two(), "partition needs a power-of-two set count, got {n_sets}");
+        n_sets
+    }
+
+    /// Eq. (1): the set index `va` maps to in the `size` partition. A
+    /// function of the geometry alone, so a machine without a POM-TLB can
+    /// still report how evenly its tenants would spread
+    /// ([`crate::tenancy::set_index_dispersion`]).
+    pub fn set_index(&self, space: AddressSpace, va: Gva, size: PageSize) -> u64 {
+        eq1_set_index(space, va, size, self.n_sets(size) - 1)
     }
 }
 

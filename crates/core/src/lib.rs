@@ -73,6 +73,7 @@ pub mod shootdown;
 pub mod skew;
 pub mod system;
 pub mod tenancy;
+pub mod translator;
 
 pub use admission::{AdmissionControl, AdmissionCounters, AdmissionPermit, Busy};
 pub use chunk::{run_jobs_chunked, run_jobs_chunked_with, ChunkSim, StorageBytes};
@@ -94,6 +95,7 @@ pub use shootdown::{
 };
 pub use skew::SkewPomTlb;
 pub use system::{simulations_run, Simulation, System};
+pub use translator::{Purge, Translator};
 pub use tenancy::{
     consolidation_ladder, set_index_chi_square, set_index_dispersion, ChurnCounters,
     TenancyStats, TenantLatency, TenantQos, TenantSet, VmLifecycle,

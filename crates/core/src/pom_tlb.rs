@@ -73,40 +73,41 @@ struct Partition {
     ways: usize,
 }
 
+/// Eq. (1): the index of the set `va` maps to among the `set_mask + 1`
+/// (a power of two) sets of its `size` partition.
+///
+/// The paper XORs the VM ID into the address before extracting
+/// `log2 N` index bits "to distribute the set-mapping evenly"; we apply
+/// the shift at page granularity (the printed formula's `>> 6` would
+/// fold sub-page bits into the index and alias every line of a page to
+/// a different set), and we fold a multiplicative hash of the VM and
+/// process IDs in as well so that SPECrate-style same-layout copies
+/// spread across the whole set space, as ASLR'd processes do on real
+/// systems — see DESIGN.md.
+#[inline]
+pub(crate) fn eq1_set_index(space: AddressSpace, va: Gva, size: PageSize, set_mask: u64) -> u64 {
+    let vpn = Vpn::of(va, size).0;
+    let salt = space.vm.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15)
+        ^ space.process.as_u64().wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
+    (vpn ^ (salt >> 32)) & set_mask
+}
+
 impl Partition {
-    fn new(size: PageSize, base: Hpa, bytes: u64, ways: u32) -> Partition {
-        assert!(ways > 0, "associativity must be nonzero");
-        // A set occupies `ways` 16-byte entries; with the paper's 4 ways a
-        // set is exactly one 64-byte burst. The associativity ablation
-        // (DESIGN.md abl1) varies this.
-        let set_bytes = 16 * ways as u64;
-        let n_sets = bytes / set_bytes;
-        assert!(n_sets > 0 && n_sets.is_power_of_two(), "partition needs a power-of-two set count, got {n_sets}");
+    /// `n_sets` comes validated from [`PomTlbConfig::n_sets`].
+    fn new(size: PageSize, base: Hpa, n_sets: u64, ways: u32) -> Partition {
         Partition {
             size,
             base,
             set_mask: n_sets - 1,
-            set_bytes,
+            set_bytes: 16 * ways as u64,
             slots: vec![0; (n_sets * ways as u64) as usize],
             ways: ways as usize,
         }
     }
 
     /// Eq. (1): the set index for `va` in this partition.
-    ///
-    /// The paper XORs the VM ID into the address before extracting
-    /// `log2 N` index bits "to distribute the set-mapping evenly"; we apply
-    /// the shift at page granularity (the printed formula's `>> 6` would
-    /// fold sub-page bits into the index and alias every line of a page to
-    /// a different set), and we fold a multiplicative hash of the VM and
-    /// process IDs in as well so that SPECrate-style same-layout copies
-    /// spread across the whole set space, as ASLR'd processes do on real
-    /// systems — see DESIGN.md.
     fn set_index(&self, space: AddressSpace, va: Gva) -> u64 {
-        let vpn = Vpn::of(va, self.size).0;
-        let salt = space.vm.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            ^ space.process.as_u64().wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
-        (vpn ^ (salt >> 32)) & self.set_mask
+        eq1_set_index(space, va, self.size, self.set_mask)
     }
 
     /// Number of sets in this partition.
@@ -153,13 +154,13 @@ impl PomTlb {
             small: Partition::new(
                 PageSize::Small4K,
                 config.base_small,
-                config.small_bytes(),
+                config.n_sets(PageSize::Small4K),
                 config.ways,
             ),
             large: Partition::new(
                 PageSize::Large2M,
                 config.base_large(),
-                config.large_bytes(),
+                config.n_sets(PageSize::Large2M),
                 config.ways,
             ),
             stats: PomTlbStats::default(),
@@ -196,9 +197,9 @@ impl PomTlb {
     }
 
     /// Eq. (1): the raw set index `va` maps to in the `size` partition —
-    /// the quantity the tenancy dispersion metric histograms across VM_IDs.
+    /// a function of the geometry alone ([`PomTlbConfig::set_index`]).
     pub fn set_index(&self, space: AddressSpace, va: Gva, size: PageSize) -> u64 {
-        self.partition(size).set_index(space, va)
+        self.config.set_index(space, va, size)
     }
 
     /// Number of sets in the `size` partition (always a power of two).

@@ -658,13 +658,18 @@ mod tests {
     }
 
     #[test]
-    fn default_system_stores_pom_tlb_and_tsb_in_32_mib() {
-        // 1 Mi POM-TLB entries and 1 Mi TSB slots at 16 bytes each. Every
-        // scheme builds both today (decoded `Option` slots took 56 MiB).
+    fn each_scheme_stores_only_its_own_structure() {
+        // 1 Mi POM-TLB entries or 1 Mi TSB slots at 16 bytes each; the
+        // Baseline and Shared_L2 machines have no in-DRAM structure.
         let chunked = crate::run_jobs_chunked(batch(), 1, 700);
         for (r, chunked) in run_jobs(batch(), 1).into_iter().zip(chunked) {
-            assert_eq!(r.storage.pom_tlb, 16 << 20, "{}", r.label);
-            assert_eq!(r.storage.tsb, 16 << 20, "{}", r.label);
+            let (pom_tlb, tsb) = match r.report.scheme {
+                Scheme::PomTlb { .. } => (16 << 20, 0),
+                Scheme::Tsb => (0, 16 << 20),
+                Scheme::Baseline | Scheme::SharedL2 => (0, 0),
+            };
+            assert_eq!(r.storage.pom_tlb, pom_tlb, "{}", r.label);
+            assert_eq!(r.storage.tsb, tsb, "{}", r.label);
             assert!(r.storage.page_tables > 0, "{}", r.label);
             assert_eq!(chunked.storage, r.storage, "{}: chunking moved the storage", r.label);
         }

@@ -26,12 +26,12 @@
 use std::collections::HashMap;
 
 use pomtlb_cache::Hierarchy;
-use pomtlb_tlb::{NestedWalker, SramTlb, Tsb};
+use pomtlb_tlb::NestedWalker;
 use pomtlb_types::{AddressSpace, CoreId, Cycles, Gva, Hpa, PageSize, VmId};
 use serde::{Deserialize, Serialize};
 
 use crate::mmu::CoreMmu;
-use crate::pom_tlb::PomTlb;
+use crate::translator::{Purge, Translator};
 
 /// Cycle costs of the shootdown machinery.
 ///
@@ -120,14 +120,11 @@ pub struct ShootdownParts<'a> {
     pub mmus: &'a mut [CoreMmu],
     /// Per-core page walkers (paging-structure caches).
     pub walkers: &'a mut [NestedWalker],
-    /// The POM-TLB DRAM array.
-    pub pom: &'a mut PomTlb,
     /// The data-cache hierarchy holding cached POM-TLB lines.
     pub hier: &'a mut Hierarchy,
-    /// The shared L2 TLB of the SharedL2 scheme.
-    pub shared_l2: &'a mut SramTlb,
-    /// The TSB of the Tsb scheme.
-    pub tsb: &'a mut Tsb,
+    /// The scheme's own structure: nothing, the Shared_L2 TLB, the TSB or
+    /// the POM-TLB DRAM array.
+    pub translator: &'a mut Translator,
 }
 
 /// Issues shootdown rounds for OS events and accounts their cost.
@@ -139,8 +136,8 @@ pub struct ShootdownEngine {
     pending_ipi_drops: u32,
     /// IPI drops that actually left a stale SRAM entry behind.
     dropped_ipis: u64,
-    /// Reusable evicted-set-address buffer for [`PomTlb::flush_vm`], so
-    /// churn-heavy consolidation runs don't allocate per teardown.
+    /// Reusable evicted-set-address buffer for [`Translator::flush_vm`],
+    /// so churn-heavy consolidation runs don't allocate per teardown.
     scratch: Vec<Hpa>,
 }
 
@@ -180,13 +177,37 @@ impl ShootdownEngine {
         self.dropped_ipis
     }
 
+    /// Books what a translator purge removed under its structure's counter
+    /// and returns its cycles: a die-stacked row write per POM-TLB array
+    /// entry and a coherence action per cached line scrubbed. SRAM and TSB
+    /// drops ride the IPI round for free.
+    fn account(&mut self, translator: &Translator, purge: Purge) -> Cycles {
+        self.stats.cached_line_invalidations += purge.lines;
+        let array_writes = match translator {
+            Translator::Walk => 0,
+            Translator::SharedL2 { .. } => {
+                self.stats.shared_l2_invalidations += purge.entries;
+                0
+            }
+            Translator::Tsb(_) => {
+                self.stats.tsb_invalidations += purge.entries;
+                0
+            }
+            Translator::Pom(_) => {
+                self.stats.pom_invalidations += purge.entries;
+                purge.entries
+            }
+        };
+        self.cost.pom_write * array_writes + self.cost.cached_line_inval * purge.lines
+    }
+
     /// Kills one page's translation in every structure that may hold it.
     ///
-    /// The OS does not know which POM-TLB partition (if either) holds the
-    /// translation, so both page-size ways are invalidated, and — per the
-    /// mostly-inclusive rule — the cached copy of each partition's set line
-    /// is scrubbed from the data caches *unconditionally*: a cache may hold
-    /// the line even when the array entry was already evicted.
+    /// The OS does not know which page size (if either) the translation
+    /// was cached under, so both are invalidated in the SRAM TLBs and in
+    /// the scheme's structure; on a POM-TLB machine that scrubs the cached
+    /// copy of both partitions' set lines (see
+    /// [`Translator::invalidate_page`]).
     ///
     /// Returns the array-write + line-scrub cycles (the per-round IPI costs
     /// are added by the calling event handler).
@@ -215,8 +236,7 @@ impl ShootdownEngine {
         } else {
             None
         };
-        let mut cached_lines = 0u64;
-        let mut pom_writes = 0u64;
+        let mut cycles = Cycles::ZERO;
         for size in PageSize::POM_SIZES {
             for (i, mmu) in parts.mmus.iter_mut().enumerate() {
                 if Some(i) == skip {
@@ -224,22 +244,10 @@ impl ShootdownEngine {
                 }
                 self.stats.sram_invalidations += u64::from(mmu.invalidate_page(space, va, size));
             }
-            if parts.shared_l2.invalidate_page(space, va, size) {
-                self.stats.shared_l2_invalidations += 1;
-            }
-            if parts.tsb.invalidate(space, va, size) {
-                self.stats.tsb_invalidations += 1;
-            }
-            let set_addr = parts.pom.set_addr(space, va, size);
-            let scrubbed = u64::from(parts.hier.invalidate_line(set_addr));
-            self.stats.cached_line_invalidations += scrubbed;
-            cached_lines += scrubbed;
-            if parts.pom.invalidate_page(space, va, size) {
-                self.stats.pom_invalidations += 1;
-                pom_writes += 1;
-            }
+            let purge = parts.translator.invalidate_page(parts.hier, space, va, size);
+            cycles += self.account(parts.translator, purge);
         }
-        self.cost.pom_write * pom_writes + self.cost.cached_line_inval * cached_lines
+        cycles
     }
 
     /// Adds one full IPI broadcast round to the stats and returns its total
@@ -318,32 +326,21 @@ impl ShootdownEngine {
     }
 
     /// A `DestroyVm` event: every translation the VM owns dies everywhere —
-    /// per-core TLBs, shared L2 TLB, TSB, PSCs, the POM-TLB array, and
-    /// (mostly-inclusive) every cached copy of the array lines the flush
-    /// touched. Returns the cycles charged.
+    /// per-core TLBs, PSCs and the scheme's structure (on a POM-TLB machine
+    /// the array and, mostly-inclusive, every cached copy of the array
+    /// lines the flush touched). Returns the cycles charged.
     pub fn destroy_vm(&mut self, parts: &mut ShootdownParts<'_>, vm: VmId) -> Cycles {
         self.stats.events += 1;
         self.stats.vm_destroys += 1;
         for mmu in parts.mmus.iter_mut() {
             self.stats.sram_invalidations += mmu.flush_vm(vm);
         }
-        self.stats.shared_l2_invalidations += parts.shared_l2.flush_vm(vm);
-        self.stats.tsb_invalidations += parts.tsb.flush_vm(vm);
         for walker in parts.walkers.iter_mut() {
             walker.flush_vm(vm);
             self.stats.psc_flushes += 1;
         }
-        let mut evicted = std::mem::take(&mut self.scratch);
-        parts.pom.flush_vm(vm, &mut evicted);
-        self.stats.pom_invalidations += evicted.len() as u64;
-        let mut scrubbed = 0u64;
-        for addr in &evicted {
-            scrubbed += u64::from(parts.hier.invalidate_line(*addr));
-        }
-        self.stats.cached_line_invalidations += scrubbed;
-        let extra =
-            self.cost.pom_write * evicted.len() as u64 + self.cost.cached_line_inval * scrubbed;
-        self.scratch = evicted;
+        let purge = parts.translator.flush_vm(parts.hier, vm, &mut self.scratch);
+        let extra = self.account(parts.translator, purge);
         self.broadcast_round(parts.mmus.len(), extra)
     }
 

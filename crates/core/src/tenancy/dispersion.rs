@@ -3,13 +3,13 @@
 //! The paper's salted set index exists so co-resident VMs don't pile onto
 //! the same POM-TLB sets. With 10k tenants that property must be measured,
 //! not assumed: this module probes one fixed virtual page per live VM_ID
-//! through the real partition geometry and reports (a) a normalized
+//! through the configured partition geometry and reports (a) a normalized
 //! Shannon entropy in `[0, 1]` for the report ("how spread out are we"),
 //! and (b) a chi-square statistic the uniformity unit test bounds.
 
 use pomtlb_types::{AddressSpace, Gva, PageSize, ProcessId, VmId};
 
-use crate::pom_tlb::PomTlb;
+use crate::config::PomTlbConfig;
 
 /// The fixed virtual page every VM is probed at: the base of the small-page
 /// region the trace generator hands out, so the measured spread is the one
@@ -20,7 +20,7 @@ const PROBE_VA: u64 = 0x0000_1000_0000_0000;
 ///
 /// Sorting makes downstream run-length counting deterministic without any
 /// hash-map iteration order in the loop.
-fn probe_indices(pom: &PomTlb, vms: u32, size: PageSize) -> Vec<u64> {
+fn probe_indices(pom: &PomTlbConfig, vms: u32, size: PageSize) -> Vec<u64> {
     let va = Gva::new(PROBE_VA);
     let mut idx: Vec<u64> = (0..vms)
         .map(|vm| {
@@ -37,7 +37,7 @@ fn probe_indices(pom: &PomTlb, vms: u32, size: PageSize) -> Vec<u64> {
 /// evenly as its size allows and 0.0 means every VM collides on one set.
 ///
 /// Populations of zero or one VM are trivially dispersed (returns 1.0).
-pub fn set_index_dispersion(pom: &PomTlb, vms: u32, size: PageSize) -> f64 {
+pub fn set_index_dispersion(pom: &PomTlbConfig, vms: u32, size: PageSize) -> f64 {
     if vms <= 1 {
         return 1.0;
     }
@@ -68,7 +68,7 @@ pub fn set_index_dispersion(pom: &PomTlb, vms: u32, size: PageSize) -> f64 {
 /// # Panics
 ///
 /// Panics if `groups` is zero or exceeds the partition's set count.
-pub fn set_index_chi_square(pom: &PomTlb, vms: u32, size: PageSize, groups: u64) -> f64 {
+pub fn set_index_chi_square(pom: &PomTlbConfig, vms: u32, size: PageSize, groups: u64) -> f64 {
     let n_sets = pom.n_sets(size);
     assert!(groups > 0 && groups <= n_sets, "groups {groups} vs {n_sets} sets");
     let mut observed = vec![0u64; groups as usize];
@@ -88,10 +88,10 @@ pub fn set_index_chi_square(pom: &PomTlb, vms: u32, size: PageSize, groups: u64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PomTlbConfig;
+    use crate::pom_tlb::PomTlb;
 
-    fn geometry(capacity_bytes: u64) -> PomTlb {
-        PomTlb::new(PomTlbConfig { capacity_bytes, ..PomTlbConfig::default() })
+    fn geometry(capacity_bytes: u64) -> PomTlbConfig {
+        PomTlbConfig { capacity_bytes, ..PomTlbConfig::default() }
     }
 
     /// Satellite: Eq. (1)'s XOR must spread VM_IDs 0..10_000 uniformly
@@ -153,16 +153,21 @@ mod tests {
 
     #[test]
     fn probe_matches_public_set_index() {
-        let pom = geometry(16 << 20);
-        let idx = probe_indices(&pom, 4, PageSize::Small4K);
+        // The geometry-only index must be the set the structure really
+        // probes: its Eq. (1) set address is the partition base plus the
+        // index times one 64-byte set.
+        let config = geometry(16 << 20);
+        let idx = probe_indices(&config, 4, PageSize::Small4K);
         assert_eq!(idx.len(), 4);
+        let pom = PomTlb::new(config);
         let mut manual: Vec<u64> = (0..4u32)
             .map(|vm| {
-                pom.set_index(
+                let addr = pom.set_addr(
                     AddressSpace::new(VmId(vm as u16), ProcessId(0)),
                     Gva::new(PROBE_VA),
                     PageSize::Small4K,
-                )
+                );
+                (addr.raw() - config.base_small.raw()) / 64
             })
             .collect();
         manual.sort_unstable();

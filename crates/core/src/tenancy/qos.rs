@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 
 use pomtlb_types::{Cycles, VmId};
 
-use crate::pom_tlb::PomTlb;
+use crate::config::PomTlbConfig;
 use crate::tenancy::churn::{ChurnCounters, VmLifecycle};
 use crate::tenancy::dispersion::set_index_dispersion;
 
@@ -156,8 +156,8 @@ impl TenantQos {
     }
 
     /// Builds the report section, computing the Eq. (1) dispersion of the
-    /// live population through the given POM-TLB's geometry.
-    pub fn stats(&self, pom: &PomTlb) -> TenancyStats {
+    /// live population through the given POM-TLB geometry.
+    pub fn stats(&self, pom: &PomTlbConfig) -> TenancyStats {
         if self.vms == 0 {
             return TenancyStats::default();
         }
@@ -191,7 +191,6 @@ impl TenantQos {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::PomTlbConfig;
 
     #[test]
     fn buckets_are_log2_with_zero_bucket() {
@@ -216,7 +215,7 @@ mod tests {
         }
         q.record(VmId(2), Cycles::new(100));
         q.record(VmId(2), Cycles::new(1000));
-        let pom = PomTlb::new(PomTlbConfig::default());
+        let pom = PomTlbConfig::default();
         let stats = q.stats(&pom);
         assert_eq!(stats.measured_tenants, 1);
         let t = stats.tenants[0];
@@ -231,7 +230,7 @@ mod tests {
         let mut q = TenantQos::default();
         q.record(VmId(0), Cycles::new(50));
         q.note_destroy(VmId(0));
-        let pom = PomTlb::new(PomTlbConfig::default());
+        let pom = PomTlbConfig::default();
         assert_eq!(q.stats(&pom), TenancyStats::default());
     }
 
@@ -240,7 +239,7 @@ mod tests {
         let mut q = TenantQos::default();
         q.enable(2);
         q.record(VmId(7), Cycles::new(5));
-        let pom = PomTlb::new(PomTlbConfig::default());
+        let pom = PomTlbConfig::default();
         assert_eq!(q.stats(&pom).measured_tenants, 0);
     }
 
@@ -252,7 +251,7 @@ mod tests {
         q.note_destroy(VmId(1));
         q.reset_stats();
         assert!(q.enabled());
-        let pom = PomTlb::new(PomTlbConfig::default());
+        let pom = PomTlbConfig::default();
         let stats = q.stats(&pom);
         assert_eq!(stats.measured_tenants, 0);
         assert_eq!(stats.churn, ChurnCounters::default());

@@ -47,7 +47,68 @@ use serde::{Deserialize, Serialize};
 /// digest input so stale digests can never alias new ones. Version 2
 /// added the `consolidation` kind (and made the workload optional in the
 /// resolved form); the kind tag byte keeps old digests from aliasing.
-pub const REQUEST_DIGEST_VERSION: u32 = 2;
+/// Version 3 marks the model change that builds only each scheme's own
+/// translation structure: bodies stored under version 2 charged Baseline,
+/// Shared_L2 and TSB rows with OS events for shootdowns of structures
+/// those machines lack, so a daemon must recompute them, not serve them.
+pub const REQUEST_DIGEST_VERSION: u32 = 3;
+
+/// Most simulated cores a request may ask for.
+const MAX_CORES: u64 = 64;
+
+/// Largest POM-TLB a request may ask for, in MB (the paper sweeps 8–32).
+const MAX_CAPACITY_MB: u64 = 1024;
+
+/// Why [`ServeRequest::resolve`] refused a request's machine geometry or
+/// reference budget — checked before anything is allocated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum EnvelopeError {
+    /// `cores` outside `1..=MAX_CORES`.
+    Cores(u64),
+    /// `capacity_mb` not a power of two in `1..=MAX_CAPACITY_MB`.
+    CapacityMb(u64),
+    /// `(warmup + refs) * cores` overflows `u64`.
+    Budget {
+        /// Warmup references per core.
+        warmup: u64,
+        /// Measured references per core.
+        refs: u64,
+        /// Simulated cores.
+        cores: u64,
+    },
+}
+
+impl std::fmt::Display for EnvelopeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EnvelopeError::Cores(n) => write!(f, "`cores` must be 1..={MAX_CORES}, got {n}"),
+            EnvelopeError::CapacityMb(mb) => write!(
+                f,
+                "`capacity_mb` must be a power of two in 1..={MAX_CAPACITY_MB}, got {mb}"
+            ),
+            EnvelopeError::Budget { warmup, refs, cores } => write!(
+                f,
+                "reference budget (warmup {warmup} + refs {refs}) x cores {cores} overflows"
+            ),
+        }
+    }
+}
+
+/// Checks a request's resolved geometry and budget: the core count and
+/// POM-TLB capacity `System::new` would allocate for, and the total
+/// reference count the trace key and the runner multiply out.
+fn check_envelope(cores: u64, capacity_mb: u64, warmup: u64, refs: u64) -> Result<(), EnvelopeError> {
+    if !(1..=MAX_CORES).contains(&cores) {
+        return Err(EnvelopeError::Cores(cores));
+    }
+    if !(capacity_mb.is_power_of_two() && capacity_mb <= MAX_CAPACITY_MB) {
+        return Err(EnvelopeError::CapacityMb(capacity_mb));
+    }
+    match warmup.checked_add(refs).and_then(|per_core| per_core.checked_mul(cores)) {
+        Some(_) => Ok(()),
+        None => Err(EnvelopeError::Budget { warmup, refs, cores }),
+    }
+}
 
 /// One wire-format request line. Missing fields deserialize to their
 /// zero value, which [`ServeRequest::resolve`] maps to the CLI defaults
@@ -317,18 +378,17 @@ impl ServeRequest {
             events = fault_sweep_default_events();
         }
         let nz = |v: u64, d: u64| if v == 0 { d } else { v };
+        let (cores, capacity_mb) = (nz(self.cores, 8), nz(self.capacity_mb, 16));
+        let (refs, warmup) = (nz(self.refs, 40_000), nz(self.warmup, 15_000));
+        check_envelope(cores, capacity_mb, warmup, refs).map_err(|e| e.to_string())?;
         Ok(ResolvedRequest {
             kind,
             workload,
             tenants,
             schemes,
-            sim: SimConfig {
-                refs_per_core: nz(self.refs, 40_000),
-                warmup_per_core: nz(self.warmup, 15_000),
-                seed: nz(self.seed, 0x90af),
-            },
-            cores: nz(self.cores, 8) as usize,
-            capacity_mb: nz(self.capacity_mb, 16),
+            sim: SimConfig { refs_per_core: refs, warmup_per_core: warmup, seed: nz(self.seed, 0x90af) },
+            cores: cores as usize,
+            capacity_mb,
             native: self.native,
             prepopulate: !self.no_prepopulate,
             check_consistency: if self.check_consistency { Some(true) } else { None },
@@ -577,6 +637,39 @@ mod tests {
             ServeRequest { unmaps_per_10k: -1.0, ..req("sim") }.resolve().is_err(),
             "negative event rates are rejected"
         );
+    }
+
+    #[test]
+    fn resolve_rejects_cores_outside_the_envelope() {
+        assert_eq!(check_envelope(MAX_CORES + 1, 16, 1, 1), Err(EnvelopeError::Cores(MAX_CORES + 1)));
+        assert_eq!(check_envelope(0, 16, 1, 1), Err(EnvelopeError::Cores(0)));
+        assert!(check_envelope(MAX_CORES, 16, 1, 1).is_ok());
+        let msg = ServeRequest { cores: 1 << 40, ..req("sim") }.resolve().expect_err("absurd cores");
+        assert!(msg.contains("`cores`"), "{msg}");
+    }
+
+    #[test]
+    fn resolve_rejects_capacity_outside_the_envelope() {
+        for mb in [5, 3, MAX_CAPACITY_MB * 2, u64::MAX] {
+            assert_eq!(check_envelope(8, mb, 1, 1), Err(EnvelopeError::CapacityMb(mb)), "{mb}");
+        }
+        for mb in [1, 8, 32, MAX_CAPACITY_MB] {
+            assert!(check_envelope(8, mb, 1, 1).is_ok(), "{mb}");
+        }
+        let msg = ServeRequest { capacity_mb: 5, ..req("sim") }.resolve().expect_err("5 MB");
+        assert!(msg.contains("`capacity_mb`"), "{msg}");
+    }
+
+    #[test]
+    fn resolve_rejects_a_budget_that_overflows() {
+        let budget = |warmup, refs, cores| EnvelopeError::Budget { warmup, refs, cores };
+        assert_eq!(check_envelope(1, 16, u64::MAX, 1), Err(budget(u64::MAX, 1, 1)));
+        assert_eq!(check_envelope(64, 16, 1 << 60, 1 << 60), Err(budget(1 << 60, 1 << 60, 64)));
+        assert_eq!(check_envelope(64, 16, u64::MAX / 128, u64::MAX / 128), Ok(()));
+        let msg = ServeRequest { refs: u64::MAX, warmup: 2, ..req("compare") }
+            .resolve()
+            .expect_err("overflowing budget");
+        assert!(msg.contains("overflows"), "{msg}");
     }
 
     #[test]

@@ -19,12 +19,17 @@
 //! cargo run --release --example fork_shootdown
 //! ```
 
-use pom_tlb::{Scheme, System, SystemConfig};
+use pom_tlb::{PomTlb, Scheme, System, SystemConfig};
 use pomtlb_tlb::{VirtTables, WalkMode};
 use pomtlb_types::{AccessKind, AddressSpace, CoreId, Cycles, Gva, Hpa, PageSize, ProcessId, VmId};
 
 const PAGES: u64 = 512;
 const WRITE_SET: u64 = 128; // pages the child dirties after the fork
+
+/// The POM-TLB of a [`Scheme::PomTlb`] machine (other schemes build none).
+fn pom(system: &System) -> &PomTlb {
+    system.pom().expect("a POM-TLB machine")
+}
 
 fn main() {
     let mut system =
@@ -96,7 +101,7 @@ fn main() {
     for (page, before) in pages.iter().zip(&parent_frames) {
         assert_eq!(parent.translate(*page), Some(*before), "parent frame moved");
         assert!(
-            system.pom().contains(parent_space, *page, PageSize::Small4K),
+            pom(&system).contains(parent_space, *page, PageSize::Small4K),
             "parent POM-TLB entry was collateral damage"
         );
     }

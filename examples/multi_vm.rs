@@ -10,9 +10,14 @@
 //! cargo run --release --example multi_vm
 //! ```
 
-use pom_tlb::{Scheme, System, SystemConfig};
+use pom_tlb::{PomTlb, Scheme, System, SystemConfig};
 use pomtlb_tlb::{VirtTables, WalkMode};
 use pomtlb_types::{AccessKind, AddressSpace, CoreId, Cycles, Gva, PageSize, ProcessId, VmId};
+
+/// The POM-TLB of a [`Scheme::PomTlb`] machine (other schemes build none).
+fn pom(system: &System) -> &PomTlb {
+    system.pom().expect("a POM-TLB machine")
+}
 
 fn main() {
     let mut system = System::new(SystemConfig { n_cores: 2, ..Default::default() }, Scheme::pom_tlb());
@@ -40,10 +45,10 @@ fn main() {
         for (space, tables) in vms.iter_mut() {
             for page in &pages {
                 tables.ensure_mapped(*page, PageSize::Small4K);
-                let before = system.pom().stats().misses;
+                let before = pom(&system).stats().misses;
                 let _ = system.access(CoreId(0), *space, *page, AccessKind::Read, tables, now);
                 now += Cycles::new(50);
-                if system.pom().stats().misses > before {
+                if pom(&system).stats().misses > before {
                     walks += 1;
                 }
             }
@@ -63,7 +68,7 @@ fn main() {
     for (space, _) in &vms {
         let resident = pages
             .iter()
-            .filter(|p| system.pom().contains(*space, **p, PageSize::Small4K))
+            .filter(|p| pom(&system).contains(*space, **p, PageSize::Small4K))
             .count();
         println!("{}: {resident}/{} pages resident in POM-TLB", space, pages.len());
         assert!(resident > 240);
@@ -76,15 +81,15 @@ fn main() {
         "\nshootdown of {} in {}: removed from {found} locations",
         victim_page, vms[1].0
     );
-    assert!(!system.pom().contains(vms[1].0, victim_page, PageSize::Small4K));
-    assert!(system.pom().contains(vms[0].0, victim_page, PageSize::Small4K));
-    assert!(system.pom().contains(vms[2].0, victim_page, PageSize::Small4K));
+    assert!(!pom(&system).contains(vms[1].0, victim_page, PageSize::Small4K));
+    assert!(pom(&system).contains(vms[0].0, victim_page, PageSize::Small4K));
+    assert!(pom(&system).contains(vms[2].0, victim_page, PageSize::Small4K));
 
     // VM teardown flushes exactly that VM.
     let dropped = system.flush_vm(VmId(2));
     println!("teardown of vm2: {dropped} entries flushed");
-    assert!(!system.pom().contains(vms[2].0, pages[0], PageSize::Small4K));
-    assert!(system.pom().contains(vms[0].0, pages[0], PageSize::Small4K));
+    assert!(!pom(&system).contains(vms[2].0, pages[0], PageSize::Small4K));
+    assert!(pom(&system).contains(vms[0].0, pages[0], PageSize::Small4K));
 
     println!("\nok: translations of multiple VMs coexist; consistency events are surgical.");
 }

@@ -2,13 +2,17 @@
 //! shootdowns, VM flushes, and the mostly-inclusive relationship between
 //! SRAM TLBs, cached POM-TLB lines and the in-DRAM structure.
 
-use pom_tlb::{Scheme, SimConfig, Simulation, System, SystemConfig};
+use pom_tlb::{PomTlb, Scheme, SimConfig, Simulation, System, SystemConfig};
 use pomtlb_tlb::{VirtTables, WalkMode};
 use pomtlb_trace::{LocalityModel, OsEventRates, WorkloadSpec};
 use pomtlb_types::{AccessKind, AddressSpace, CoreId, Cycles, Gva, PageSize, ProcessId, VmId};
 
 fn system() -> System {
     System::new(SystemConfig { n_cores: 2, ..Default::default() }, Scheme::pom_tlb())
+}
+
+fn pom(sys: &System) -> &PomTlb {
+    sys.pom().expect("a POM-TLB machine")
 }
 
 fn space(vm: u16, pid: u16) -> AddressSpace {
@@ -30,11 +34,11 @@ fn shootdown_reaches_every_structure() {
     // and leaves a cached POM-TLB line.
     touch(&mut sys, &tables, s, va, 0);
     touch(&mut sys, &tables, s, va, 10_000);
-    assert!(sys.pom().contains(s, va, PageSize::Small4K));
+    assert!(pom(&sys).contains(s, va, PageSize::Small4K));
 
     let found = sys.shootdown(s, va, PageSize::Small4K);
     assert!(found >= 2, "SRAM TLB + POM-TLB at minimum, found {found}");
-    assert!(!sys.pom().contains(s, va, PageSize::Small4K));
+    assert!(!pom(&sys).contains(s, va, PageSize::Small4K));
 
     // Idempotence: a second shootdown finds nothing anywhere.
     assert_eq!(sys.shootdown(s, va, PageSize::Small4K), 0);
@@ -57,10 +61,10 @@ fn shootdown_then_remap_gets_fresh_translation() {
     assert_ne!(first_frame, second_frame, "remap allocates a new frame");
 
     touch(&mut sys, &tables, s, va, 50_000);
-    assert!(sys.pom().contains(s, va, PageSize::Small4K));
+    assert!(pom(&sys).contains(s, va, PageSize::Small4K));
     // The fresh walk resolved to the *new* frame: a subsequent lookup in
     // the POM-TLB must agree with the page table.
-    let mut pom = sys.pom().clone();
+    let mut pom = pom(&sys).clone();
     let hit = pom.lookup(s, va, PageSize::Small4K).expect("refilled");
     assert_eq!(hit.page_base, second_frame);
 }
@@ -77,13 +81,13 @@ fn vm_flush_is_scoped() {
     t2.ensure_mapped(va, PageSize::Small4K);
     touch(&mut sys, &t1, s1, va, 0);
     touch(&mut sys, &t2, s2, va, 10_000);
-    assert!(sys.pom().contains(s1, va, PageSize::Small4K));
-    assert!(sys.pom().contains(s2, va, PageSize::Small4K));
+    assert!(pom(&sys).contains(s1, va, PageSize::Small4K));
+    assert!(pom(&sys).contains(s2, va, PageSize::Small4K));
 
     let dropped = sys.flush_vm(VmId(1));
     assert!(dropped >= 1);
-    assert!(!sys.pom().contains(s1, va, PageSize::Small4K), "vm1 flushed");
-    assert!(sys.pom().contains(s2, va, PageSize::Small4K), "vm2 untouched");
+    assert!(!pom(&sys).contains(s1, va, PageSize::Small4K), "vm1 flushed");
+    assert!(pom(&sys).contains(s2, va, PageSize::Small4K), "vm2 untouched");
 }
 
 #[test]
@@ -100,7 +104,7 @@ fn processes_within_a_vm_do_not_alias() {
 
     touch(&mut sys, &ta, pa, va, 0);
     touch(&mut sys, &tb, pb, va, 10_000);
-    let mut pom = sys.pom().clone();
+    let mut pom = pom(&sys).clone();
     assert_eq!(pom.lookup(pa, va, PageSize::Small4K).unwrap().page_base, frame_a);
     assert_eq!(pom.lookup(pb, va, PageSize::Small4K).unwrap().page_base, frame_b);
 }
@@ -116,12 +120,12 @@ fn large_and_small_translations_coexist_for_one_space() {
     tables.ensure_mapped(large_va, PageSize::Large2M);
     touch(&mut sys, &tables, s, small_va, 0);
     touch(&mut sys, &tables, s, large_va, 10_000);
-    assert!(sys.pom().contains(s, small_va, PageSize::Small4K));
-    assert!(sys.pom().contains(s, large_va, PageSize::Large2M));
+    assert!(pom(&sys).contains(s, small_va, PageSize::Small4K));
+    assert!(pom(&sys).contains(s, large_va, PageSize::Large2M));
     // A shootdown of the 2 MB page leaves the 4 KB page alone.
     sys.shootdown(s, large_va, PageSize::Large2M);
-    assert!(!sys.pom().contains(s, large_va, PageSize::Large2M));
-    assert!(sys.pom().contains(s, small_va, PageSize::Small4K));
+    assert!(!pom(&sys).contains(s, large_va, PageSize::Large2M));
+    assert!(pom(&sys).contains(s, small_va, PageSize::Small4K));
 }
 
 fn eventful(name: &str, rates: OsEventRates) -> WorkloadSpec {
@@ -202,7 +206,7 @@ fn every_resolved_translation_matches_the_page_tables() {
         tables.ensure_mapped(*va, PageSize::Small4K);
         touch(&mut sys, &tables, s, *va, i as u64 * 500);
     }
-    let mut pom = sys.pom().clone();
+    let mut pom = pom(&sys).clone();
     for va in &pages {
         let expected = tables.lookup_page(*va).expect("mapped").0;
         let got = pom

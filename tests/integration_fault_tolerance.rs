@@ -146,8 +146,8 @@ fn transient_panic_retries_to_an_identical_report() {
 }
 
 /// Amplified rates so every kind of fault fires many times even in a short
-/// run, over an eventful OS mix so the shootdown-borne kinds (the only
-/// ones visible to Baseline) get rounds to land in.
+/// run, over an eventful OS mix so the shootdown-borne kinds get rounds to
+/// land in.
 fn hot_faults() -> (FaultConfig, OsEventRates) {
     let faults = FaultConfig {
         pom_bit_flips_per_10k: 20.0,
@@ -195,7 +195,12 @@ fn injected_faults_are_detected_or_escape_by_consistency_setting() {
     let results = run_jobs(jobs, 2);
     for (r, detect) in results.iter().zip(&detect_flags) {
         let f = &r.report.faults;
-        assert!(f.injected_total() > 0, "{}: faults were injected", r.label);
+        if matches!(r.report.scheme, Scheme::PomTlb { .. }) {
+            assert!(f.injected_total() > 0, "{}: faults were injected", r.label);
+        } else {
+            // Only dropped IPIs reach a machine without a POM-TLB array.
+            assert_eq!(f.injected_total(), f.injected_dropped_ipis, "{}: {f:?}", r.label);
+        }
         if *detect {
             assert_eq!(f.escapes, 0, "{}: detection repaired every wrong serve", r.label);
         } else {

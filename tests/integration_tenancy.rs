@@ -160,7 +160,7 @@ fn reuse_cycle(vm: u16, n_pages: usize, remap_mask: u32) {
         now += 100;
         let _ = sys.access(CoreId(0), space, *page, AccessKind::Read, &tables, Cycles::new(now));
     }
-    let mut pom = sys.pom().clone();
+    let mut pom = sys.pom().expect("a POM-TLB machine").clone();
     for page in &pages {
         let expect = tables.lookup_page(*page).expect("successor pages stay mapped").0;
         let hit = pom
