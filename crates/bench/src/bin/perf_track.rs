@@ -576,7 +576,8 @@ fn main() -> ExitCode {
     // every client repeating one identical compare — answered two ways.
     // The sequential baseline is the pre-concurrency daemon shape: one
     // conversation at a time, disk memoization only (hot tier off), every
-    // warm answer paying the POMREP1 read + checksum + manifest touch.
+    // warm answer paying the POMREP1 read + checksum (its manifest stamp
+    // is batched into one write per second).
     // The concurrent pass is the production shape: K closed-loop clients
     // on per-connection handles over one shared warm core, the first wave
     // coalescing onto a single flight and every repeat served by the
@@ -586,8 +587,8 @@ fn main() -> ExitCode {
     // and closed-loop throughput at least 3x the sequential baseline.
     // A small pinned request keeps the one computation from dominating
     // either pass: the contrast under test is the per-repeat answer path
-    // (disk read + checksum + manifest touch vs an in-memory probe), so
-    // the repeats must be the bulk of the wall time.
+    // (disk read + checksum vs an in-memory probe), so the repeats must
+    // be the bulk of the wall time.
     const CONC_CLIENTS: usize = 8;
     const CONC_REPEATS: usize = 1_200;
     let conc_request = "{\"id\":\"conc\",\"kind\":\"compare\",\"workload\":\"gups\",\

@@ -68,7 +68,7 @@ use pom_tlb::{
     FaultConfig, FaultStats, PomTlbConfig, Scheme, ShootdownStats, SimConfig, SimJob, SimReport,
     SystemConfig,
 };
-use pomtlb_serve::{ReportStore, ServeConfig, Service};
+use pomtlb_serve::{check_envelope, ReportStore, ServeConfig, Service};
 use pomtlb_tlb::WalkMode;
 use pomtlb_trace::{OsEventRates, TraceStore};
 use pomtlb_workloads::consolidation::{consolidation_spec, resolve_mix};
@@ -224,6 +224,10 @@ fn parse(args: &[String]) -> Result<Options, String> {
         }
     }
     o.events.validate()?;
+    // The daemon's admission envelope, so a bad geometry or an
+    // overflowing budget is an error here rather than a panic (or a
+    // wrapped budget) inside the simulator.
+    check_envelope(o.cores as u64, o.capacity_mb, o.warmup, o.refs).map_err(|e| e.to_string())?;
     Ok(o)
 }
 
@@ -1710,6 +1714,36 @@ mod tests {
     fn consolidation_smoke_is_deterministic() {
         let o = Options { cores: 2, refs: 700, warmup: 200, jobs: 2, ..Default::default() };
         assert!(consolidation_is_deterministic(&[30], Some((10.0, 5.0)), &o));
+    }
+
+    fn args(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn parse_rejects_a_non_power_of_two_capacity() {
+        let err = parse(&args(&["--capacity-mb", "5"])).expect_err("5 MB is no POM-TLB geometry");
+        assert_eq!(err, pomtlb_serve::EnvelopeError::CapacityMb(5).to_string());
+        assert!(parse(&args(&["--capacity-mb", "2048"])).is_err());
+        assert_eq!(parse(&args(&["--capacity-mb", "32"])).unwrap().capacity_mb, 32);
+    }
+
+    #[test]
+    fn parse_rejects_cores_outside_the_envelope() {
+        let err = parse(&args(&["--cores", "0"])).expect_err("a machine needs a core");
+        assert_eq!(err, pomtlb_serve::EnvelopeError::Cores(0).to_string());
+        assert!(parse(&args(&["--cores", "65"])).is_err());
+        assert_eq!(parse(&args(&["--cores", "64"])).unwrap().cores, 64);
+    }
+
+    #[test]
+    fn parse_rejects_an_overflowing_reference_budget() {
+        let err = parse(&args(&["--refs", "18446744073709551615"]))
+            .expect_err("warmup + refs overflows");
+        let budget =
+            pomtlb_serve::EnvelopeError::Budget { warmup: 15_000, refs: u64::MAX, cores: 8 };
+        assert_eq!(err, budget.to_string());
+        assert!(parse(&args(&["--cores", "64", "--refs", "1152921504606846976"])).is_err());
     }
 
     #[test]

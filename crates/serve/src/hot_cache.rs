@@ -1,11 +1,11 @@
 //! The in-memory hot tier in front of the on-disk report store.
 //!
 //! A disk-memoized hit is already ~3000x cheaper than computing, but it
-//! still pays a file read, two checksum passes, and a manifest rewrite
-//! (the LRU `touch`) *per hit* — all serialized behind the store's
-//! advisory lock under concurrent load. [`HotCache`] keeps the hottest
-//! response bodies as ready-to-splice strings keyed by request digest, so
-//! a repeated hot request costs one map probe and one clone.
+//! still pays a file open and read and two checksum passes *per hit* (its
+//! LRU stamp is batched into the store's once-per-second manifest write).
+//! [`HotCache`] keeps the hottest response bodies as ready-to-splice
+//! strings keyed by request digest, so a repeated hot request costs one
+//! map probe and one clone.
 //!
 //! Sizing is by **bytes, not entries** (bodies vary from hundreds of
 //! bytes to tens of kilobytes): insertion evicts least-recently-used

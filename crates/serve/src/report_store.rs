@@ -33,26 +33,31 @@
 //! Files are written to a tmp name and atomically renamed, so readers
 //! never observe a half-written entry. The manifest is *advisory* exactly
 //! as the trace store's is: it accelerates `stats` and feeds LRU eviction,
-//! but entries are self-describing and self-checking.
+//! but entries are self-describing and self-checking. Both stores keep it
+//! through [`pomtlb_trace::manifest`], which writes it at most once per
+//! second per handle, so a memoized answer is one file read and a checksum.
 //!
 //! # Fallback rules
 //!
 //! [`ReportStore::load`] returns `None` — and the service recomputes — for
-//! *any* defect: missing file, foreign magic, version or digest mismatch,
-//! bad length, failed checksum. A defective entry is reported on stderr
-//! and counted, never trusted; the recompute's save overwrites it. The
-//! store can make a request cheaper or leave it unchanged, but never
-//! wrong — and because the payload is stored byte-exact, a hit is
-//! byte-identical to the computed response it memoizes.
+//! a missing file (a clean miss) or *any* defect: foreign magic, version
+//! or digest mismatch, bad length, failed checksum. A defective entry is
+//! reported on stderr and counted, never trusted; the recompute's save
+//! overwrites it. The store can make a request cheaper or leave it
+//! unchanged, but never wrong — and because the payload is stored
+//! byte-exact, a hit is byte-identical to the computed response it
+//! memoizes.
 
 use std::fs;
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use pomtlb_trace::digest::{digest_hex, fnv1a64};
+use pomtlb_trace::manifest::{Manifest, Row};
+
+/// What one [`ReportStore::gc`] pass evicted (the shared manifest type).
+pub use pomtlb_trace::manifest::GcReport as ReportGcReport;
 
 /// File magic for memoized response bodies.
 const REPORT_MAGIC: &[u8; 8] = b"POMREP1\n";
@@ -64,13 +69,7 @@ const HEADER_BYTES: usize = 68;
 /// JSON documents; this is thousands of memoized sweeps).
 pub const DEFAULT_REPORT_MAX_BYTES: u64 = 256 << 20;
 
-const MANIFEST_FILE: &str = "manifest.tsv";
-const MANIFEST_LOCK_FILE: &str = "manifest.lock";
 const REPORT_EXT: &str = "pomrep";
-
-/// A lock file older than this is presumed left by a crashed writer and
-/// broken.
-const LOCK_STALE_AGE: Duration = Duration::from_secs(2);
 
 fn invalid(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
@@ -125,66 +124,48 @@ impl ReportVerifyEntry {
     }
 }
 
-/// What one [`ReportStore::gc`] pass evicted.
-#[derive(Debug, Clone, Default)]
-pub struct ReportGcReport {
-    /// `(digest, bytes)` of evicted bodies, least recently used first.
-    pub evicted: Vec<(String, u64)>,
-    /// Body bytes remaining on disk after the pass.
-    pub live_bytes: u64,
-}
+/// Fixed columns first, the free-form kind and workload last.
+impl Row for ReportEntry {
+    const TAG: &'static str = "pomtlb-report-manifest";
+    const VERSION: u32 = REPORT_FORMAT_VERSION;
 
-#[derive(Debug, Default)]
-struct Manifest {
-    entries: Vec<ReportEntry>,
-}
+    fn digest(&self) -> &str {
+        &self.digest
+    }
 
-/// Versioned tab-separated manifest; free-form fields (kind, workload)
-/// come last so embedded tabs cannot shift the fixed columns. Unreadable
-/// lines are skipped on parse — the manifest is advisory.
-fn format_manifest(m: &Manifest) -> String {
-    let mut out = format!("pomtlb-report-manifest\t{REPORT_FORMAT_VERSION}\n");
-    for e in &m.entries {
+    fn last_used(&self) -> u64 {
+        self.last_used
+    }
+
+    fn set_last_used(&mut self, stamp: u64) {
+        self.last_used = stamp;
+    }
+
+    fn to_line(&self) -> String {
         let clean = |s: &str| s.chars().filter(|c| !c.is_control()).collect::<String>();
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\n",
-            e.digest,
-            e.bytes,
-            e.last_used,
-            clean(&e.kind),
-            clean(&e.workload),
-        ));
+        format!(
+            "{}\t{}\t{}\t{}\t{}",
+            self.digest,
+            self.bytes,
+            self.last_used,
+            clean(&self.kind),
+            clean(&self.workload),
+        )
     }
-    out
-}
 
-fn parse_manifest(text: &str) -> Manifest {
-    let mut lines = text.lines();
-    if lines.next().and_then(|h| h.strip_prefix("pomtlb-report-manifest\t")).is_none() {
-        return Manifest::default();
-    }
-    let mut m = Manifest::default();
-    for line in lines {
+    fn parse(line: &str) -> Option<ReportEntry> {
         let f: Vec<&str> = line.splitn(5, '\t').collect();
         if f.len() != 5 {
-            continue;
+            return None;
         }
-        let (Ok(bytes), Ok(last_used)) = (f[1].parse::<u64>(), f[2].parse::<u64>()) else {
-            continue;
-        };
-        m.entries.push(ReportEntry {
+        Some(ReportEntry {
             digest: f[0].to_string(),
             kind: f[3].to_string(),
             workload: f[4].to_string(),
-            bytes,
-            last_used,
-        });
+            bytes: f[1].parse().ok()?,
+            last_used: f[2].parse().ok()?,
+        })
     }
-    m
-}
-
-fn unix_now() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
 /// Encodes one POMREP1 file: header + payload.
@@ -263,16 +244,13 @@ fn verify_file(path: &Path, stem_hex: &str) -> io::Result<()> {
 /// atomic-rename write protocol, exactly like [`pomtlb_trace::TraceStore`].
 #[derive(Debug)]
 pub struct ReportStore {
-    root: PathBuf,
-    max_bytes: u64,
+    /// Body paths, the manifest's pending rows, its flush and the GC pass.
+    index: Manifest<ReportEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     stores: AtomicU64,
     bytes_read: AtomicU64,
     load_failures: AtomicU64,
-    /// Serializes manifest read-modify-write cycles within this handle;
-    /// cross-handle writers are serialized by the advisory lock file.
-    manifest_lock: Mutex<()>,
 }
 
 impl ReportStore {
@@ -282,31 +260,29 @@ impl ReportStore {
         let root = dir.into();
         fs::create_dir_all(&root)?;
         Ok(ReportStore {
-            root,
-            max_bytes: DEFAULT_REPORT_MAX_BYTES,
+            index: Manifest::new(root, REPORT_EXT, DEFAULT_REPORT_MAX_BYTES),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             stores: AtomicU64::new(0),
             bytes_read: AtomicU64::new(0),
             load_failures: AtomicU64::new(0),
-            manifest_lock: Mutex::new(()),
         })
     }
 
     /// Replaces the garbage-collection size cap (floored at one byte).
     pub fn with_max_bytes(mut self, max_bytes: u64) -> ReportStore {
-        self.max_bytes = max_bytes.max(1);
+        self.index.set_max_bytes(max_bytes);
         self
     }
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.index.root()
     }
 
     /// The garbage-collection size cap in bytes.
     pub fn max_bytes(&self) -> u64 {
-        self.max_bytes
+        self.index.max_bytes()
     }
 
     /// Snapshot of this handle's hit/miss counters.
@@ -320,31 +296,36 @@ impl ReportStore {
         }
     }
 
-    fn file_path(&self, digest_hex: &str) -> PathBuf {
-        self.root.join(format!("{digest_hex}.{REPORT_EXT}"))
-    }
-
     /// Loads the memoized body for `digest`, or `None` on a miss.
     ///
     /// A miss is an absent file *or any defect whatsoever* — wrong magic,
     /// version or digest mismatch, truncation, checksum failure. Defects
     /// warn on stderr and count as [`ReportCounters::load_failures`]; the
     /// service recomputes, so a damaged store costs time, never a wrong
-    /// (or non-identical) answer.
+    /// (or non-identical) answer. A file that is absent when opened — never
+    /// saved, or evicted by another handle a moment ago — is a clean miss.
     pub fn load(&self, digest: &[u8; 32]) -> Option<Vec<u8>> {
         let hex = digest_hex(digest);
-        let path = self.file_path(&hex);
-        if !path.exists() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let read = fs::read(&path).and_then(|bytes| decode_entry(&bytes, digest));
+        let path = self.index.body_path(&hex);
+        let read = fs::read(&path)
+            .and_then(|bytes| Ok((decode_entry(&bytes, digest)?, bytes.len() as u64)));
         match read {
-            Ok(payload) => {
+            Ok((payload, file_bytes)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.bytes_read.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                self.touch(&hex);
+                // An orphan (absent from the manifest) is indexed unlabelled.
+                self.index.loaded(&hex, || ReportEntry {
+                    digest: hex.clone(),
+                    kind: "?".into(),
+                    workload: "?".into(),
+                    bytes: file_bytes,
+                    last_used: 0,
+                });
                 Some(payload)
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
             }
             Err(e) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -359,9 +340,10 @@ impl ReportStore {
     }
 
     /// Persists `payload` as the memoized body for `digest`, returning the
-    /// bytes written. The write goes to a tmp file and is atomically
-    /// renamed into place, then the manifest is updated and a GC pass
-    /// enforces the size cap. `kind` and `workload` label the manifest row.
+    /// bytes written. The write goes to a per-call tmp file, is synced and
+    /// atomically renamed into place, then the manifest row (labelled with
+    /// `kind` and `workload`) is recorded; the flush that merges it runs a
+    /// GC pass to enforce the size cap.
     pub fn save(
         &self,
         digest: &[u8; 32],
@@ -369,15 +351,9 @@ impl ReportStore {
         kind: &str,
         workload: &str,
     ) -> io::Result<u64> {
-        // The tmp name is unique per call (not just per digest): two
-        // handles saving the same key concurrently must each stage into
-        // their own file, or the interleaved writes could rename a torn
-        // body into place.
-        static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
         let hex = digest_hex(digest);
-        let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.root.join(format!(".{hex}.{}.{seq}.tmp", std::process::id()));
-        let path = self.file_path(&hex);
+        let tmp = self.index.tmp_path(&hex);
+        let path = self.index.body_path(&hex);
         let encoded = encode_entry(digest, payload);
         let mut file = fs::File::create(&tmp)?;
         file.write_all(&encoded)?;
@@ -385,50 +361,27 @@ impl ReportStore {
         drop(file);
         fs::rename(&tmp, &path)?;
         self.stores.fetch_add(1, Ordering::Relaxed);
-        self.index(&hex, encoded.len() as u64, kind, workload);
-        self.gc();
+        self.index.saved(ReportEntry {
+            digest: hex,
+            kind: kind.to_string(),
+            workload: workload.to_string(),
+            bytes: encoded.len() as u64,
+            last_used: 0,
+        });
         Ok(encoded.len() as u64)
-    }
-
-    /// Scans the directory for body files: `(digest, bytes)` pairs.
-    fn scan(&self) -> Vec<(String, u64)> {
-        let Ok(dir) = fs::read_dir(&self.root) else { return Vec::new() };
-        let mut out: Vec<(String, u64)> = dir
-            .flatten()
-            .filter_map(|entry| {
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == REPORT_EXT) {
-                    let stem = path.file_stem()?.to_str()?.to_string();
-                    let bytes = entry.metadata().ok()?.len();
-                    Some((stem, bytes))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    fn file_mtime_unix(&self, digest: &str) -> u64 {
-        fs::metadata(self.file_path(digest))
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-            .map(|d| d.as_secs())
-            .unwrap_or(0)
     }
 
     /// Every memoized body currently on disk, most recently used first.
     pub fn entries(&self) -> Vec<ReportEntry> {
-        let manifest = self.read_manifest();
+        let manifest = self.index.rows();
         let mut out: Vec<ReportEntry> = self
+            .index
             .scan()
             .into_iter()
-            .map(|(digest, bytes)| match manifest.entries.iter().find(|e| e.digest == digest) {
+            .map(|(digest, bytes)| match manifest.iter().find(|e| e.digest == digest) {
                 Some(m) => ReportEntry { bytes, ..m.clone() },
                 None => ReportEntry {
-                    last_used: self.file_mtime_unix(&digest),
+                    last_used: self.index.mtime(&digest),
                     digest,
                     kind: "?".into(),
                     workload: "?".into(),
@@ -442,7 +395,7 @@ impl ReportStore {
 
     /// Total bytes of memoized bodies on disk (manifest excluded).
     pub fn total_bytes(&self) -> u64 {
-        self.scan().iter().map(|(_, b)| b).sum()
+        self.index.scan().iter().map(|(_, b)| b).sum()
     }
 
     /// Integrity-checks every body on disk: header, digest-vs-name, exact
@@ -450,165 +403,24 @@ impl ReportStore {
     /// but left in place (the next `save` of that key overwrites them;
     /// `gc` evicts them like any other entry).
     pub fn verify(&self) -> Vec<ReportVerifyEntry> {
-        self.scan()
+        self.index
+            .scan()
             .into_iter()
             .map(|(digest, bytes)| {
                 let error =
-                    verify_file(&self.file_path(&digest), &digest).err().map(|e| e.to_string());
+                    verify_file(&self.index.body_path(&digest), &digest).err().map(|e| e.to_string());
                 ReportVerifyEntry { digest, bytes, error }
             })
             .collect()
     }
 
     /// Evicts least-recently-used bodies until the store fits
-    /// [`ReportStore::max_bytes`]. Recency comes from the manifest's
-    /// `last_used` stamps, falling back to file mtime for unindexed files;
-    /// ties break by digest so the pass is deterministic.
+    /// [`ReportStore::max_bytes`], after merging this handle's pending
+    /// manifest rows. Recency comes from the manifest's `last_used` stamps,
+    /// falling back to file mtime for unindexed files; ties break by digest
+    /// so the pass is deterministic.
     pub fn gc(&self) -> ReportGcReport {
-        let files = self.scan();
-        let mut total: u64 = files.iter().map(|(_, b)| b).sum();
-        if total <= self.max_bytes {
-            return ReportGcReport { evicted: Vec::new(), live_bytes: total };
-        }
-        let manifest = self.read_manifest();
-        let mut ranked: Vec<(u64, String, u64)> = files
-            .into_iter()
-            .map(|(digest, bytes)| {
-                let stamp = manifest
-                    .entries
-                    .iter()
-                    .find(|e| e.digest == digest)
-                    .map(|e| e.last_used)
-                    .unwrap_or_else(|| self.file_mtime_unix(&digest));
-                (stamp, digest, bytes)
-            })
-            .collect();
-        ranked.sort();
-        let mut evicted = Vec::new();
-        for (_, digest, bytes) in ranked {
-            if total <= self.max_bytes {
-                break;
-            }
-            if fs::remove_file(self.file_path(&digest)).is_ok() {
-                total = total.saturating_sub(bytes);
-                evicted.push((digest, bytes));
-            }
-        }
-        if !evicted.is_empty() {
-            let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-            let _dir = self.lock_manifest_dir();
-            let mut manifest = self.read_manifest();
-            manifest.entries.retain(|e| !evicted.iter().any(|(d, _)| *d == e.digest));
-            self.write_manifest(&manifest);
-        }
-        ReportGcReport { evicted, live_bytes: total }
-    }
-
-    fn read_manifest(&self) -> Manifest {
-        fs::read_to_string(self.root.join(MANIFEST_FILE))
-            .map(|s| parse_manifest(&s))
-            .unwrap_or_default()
-    }
-
-    /// Best-effort manifest write (tmp + rename). The manifest is
-    /// advisory, so failures are silently absorbed.
-    fn write_manifest(&self, manifest: &Manifest) {
-        let tmp = self.root.join(".manifest.tmp");
-        if fs::write(&tmp, format_manifest(manifest)).is_ok() {
-            let _ = fs::rename(&tmp, self.root.join(MANIFEST_FILE));
-        }
-    }
-
-    /// Acquires the advisory cross-process manifest lock (create-new lock
-    /// file, stale-broken after [`LOCK_STALE_AGE`], bounded wait — same
-    /// protocol and rationale as the trace store's).
-    fn lock_manifest_dir(&self) -> DirLockGuard {
-        let path = self.root.join(MANIFEST_LOCK_FILE);
-        for _ in 0..50 {
-            match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(_) => return DirLockGuard { path, held: true },
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| SystemTime::now().duration_since(t).ok())
-                        .is_some_and(|age| age > LOCK_STALE_AGE);
-                    if stale {
-                        let _ = fs::remove_file(&path);
-                    } else {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-                // Unwritable directory or the like: locking is impossible,
-                // proceed unlocked rather than spinning.
-                Err(_) => break,
-            }
-        }
-        DirLockGuard { path, held: false }
-    }
-
-    fn index(&self, digest: &str, bytes: u64, kind: &str, workload: &str) {
-        let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _dir = self.lock_manifest_dir();
-        let mut manifest = self.read_manifest();
-        manifest.entries.retain(|e| e.digest != digest);
-        manifest.entries.push(ReportEntry {
-            digest: digest.to_string(),
-            kind: kind.to_string(),
-            workload: workload.to_string(),
-            bytes,
-            last_used: unix_now(),
-        });
-        self.write_manifest(&manifest);
-    }
-
-    /// Stamps `digest` as just-used; unindexed entries (orphaned by a lost
-    /// manifest) are indexed on the spot so GC recency stays honest.
-    fn touch(&self, digest: &str) {
-        let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _dir = self.lock_manifest_dir();
-        let mut manifest = self.read_manifest();
-        match manifest.entries.iter_mut().find(|e| e.digest == digest) {
-            Some(entry) => entry.last_used = unix_now(),
-            None => {
-                let bytes = fs::metadata(self.file_path(digest)).map(|m| m.len()).unwrap_or(0);
-                manifest.entries.push(ReportEntry {
-                    digest: digest.to_string(),
-                    kind: "?".into(),
-                    workload: "?".into(),
-                    bytes,
-                    last_used: unix_now(),
-                });
-            }
-        }
-        self.write_manifest(&manifest);
-    }
-
-    #[cfg(test)]
-    fn force_last_used(&self, digest: &str, stamp: u64) {
-        let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _dir = self.lock_manifest_dir();
-        let mut manifest = self.read_manifest();
-        if let Some(entry) = manifest.entries.iter_mut().find(|e| e.digest == digest) {
-            entry.last_used = stamp;
-            self.write_manifest(&manifest);
-        }
-    }
-}
-
-/// Guard for [`ReportStore::lock_manifest_dir`]: removes the lock file on
-/// drop when it was actually acquired.
-#[derive(Debug)]
-struct DirLockGuard {
-    path: PathBuf,
-    held: bool,
-}
-
-impl Drop for DirLockGuard {
-    fn drop(&mut self) {
-        if self.held {
-            let _ = fs::remove_file(&self.path);
-        }
+        self.index.gc()
     }
 }
 
@@ -616,6 +428,8 @@ impl Drop for DirLockGuard {
 mod tests {
     use super::*;
     use pomtlb_trace::digest::digest256;
+    use pomtlb_trace::manifest::{unix_now, MANIFEST_FILE};
+    use proptest::prelude::*;
 
     struct TempDir(PathBuf);
 
@@ -666,7 +480,7 @@ mod tests {
         let digest = digest256(b"to-corrupt");
         store.save(&digest, b"payload bytes here", "sim", "mcf").expect("save");
         // Flip one payload byte on disk.
-        let path = store.file_path(&digest_hex(&digest));
+        let path = store.index.body_path(&digest_hex(&digest));
         let mut bytes = fs::read(&path).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 0x40;
@@ -684,13 +498,70 @@ mod tests {
         let store = ReportStore::open(&dir.0).expect("open");
         let digest = digest256(b"trunc");
         store.save(&digest, b"0123456789", "sim", "gups").expect("save");
-        let path = store.file_path(&digest_hex(&digest));
+        let path = store.index.body_path(&digest_hex(&digest));
         let bytes = fs::read(&path).expect("read");
         fs::write(&path, &bytes[..bytes.len() - 1]).expect("truncate");
         assert!(store.load(&digest).is_none());
         fs::write(&path, b"NOTAREPORTFILE..").expect("clobber");
         assert!(store.load(&digest).is_none());
         assert_eq!(store.counters().load_failures, 2);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn intact_entry_round_trips(
+            payload in proptest::collection::vec(any::<u8>(), 0..512),
+            key in any::<u64>(),
+        ) {
+            let digest = digest256(&key.to_le_bytes());
+            let file = encode_entry(&digest, &payload);
+            let back = decode_entry(&file, &digest).expect("an intact entry decodes");
+            prop_assert_eq!(back, payload);
+        }
+
+        #[test]
+        fn any_flipped_byte_is_an_error(
+            payload in proptest::collection::vec(any::<u8>(), 0..512),
+            pos in any::<usize>(),
+            mask in any::<u8>(),
+        ) {
+            let digest = digest256(&pos.to_le_bytes());
+            let mut file = encode_entry(&digest, &payload);
+            let pos = pos % file.len();
+            file[pos] ^= mask.max(1);
+            prop_assert!(
+                decode_entry(&file, &digest).is_err(),
+                "flip of byte {} with {:#x} decoded",
+                pos,
+                mask.max(1)
+            );
+        }
+
+        #[test]
+        fn any_truncation_is_an_error(
+            payload in proptest::collection::vec(any::<u8>(), 0..512),
+            cut in any::<usize>(),
+        ) {
+            let digest = digest256(&cut.to_le_bytes());
+            let file = encode_entry(&digest, &payload);
+            let cut = cut % file.len();
+            let truncated = decode_entry(&file[..cut], &digest);
+            prop_assert!(truncated.is_err(), "truncation to {} decoded", cut);
+        }
+
+        #[test]
+        fn any_extension_is_an_error(
+            payload in proptest::collection::vec(any::<u8>(), 0..512),
+            tail in proptest::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let digest = digest256(&payload);
+            let mut file = encode_entry(&digest, &payload);
+            file.extend_from_slice(&tail);
+            let extended = decode_entry(&file, &digest);
+            prop_assert!(extended.is_err(), "{} trailing bytes decoded", tail.len());
+        }
     }
 
     #[test]
@@ -701,7 +572,7 @@ mod tests {
         let bad = digest256(b"bad");
         store.save(&good, b"fine", "compare", "gups").expect("save");
         store.save(&bad, b"doomed", "compare", "mcf").expect("save");
-        let path = store.file_path(&digest_hex(&bad));
+        let path = store.index.body_path(&digest_hex(&bad));
         let mut bytes = fs::read(&path).expect("read");
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
@@ -723,7 +594,7 @@ mod tests {
             (0..4).map(|i| digest256(format!("entry-{i}").as_bytes())).collect();
         for (i, d) in digests.iter().enumerate() {
             store.save(d, &payload, "compare", "gups").expect("save");
-            store.force_last_used(&digest_hex(d), 1000 + i as u64);
+            store.index.force_last_used(&digest_hex(d), 1000 + i as u64);
         }
         let total = store.total_bytes();
         let store = ReportStore::open(&dir.0).expect("reopen").with_max_bytes(total - 1);
@@ -750,5 +621,92 @@ mod tests {
         let entries = store.entries();
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].kind, "?");
+    }
+
+    #[test]
+    fn a_load_indexes_an_orphaned_body() {
+        let dir = TempDir::new("orphan");
+        let store = ReportStore::open(&dir.0).expect("open");
+        let d = digest256(b"orphan");
+        let written = store.save(&d, b"orphaned body", "sim", "gcc").expect("save");
+        store.entries();
+        fs::remove_file(dir.0.join(MANIFEST_FILE)).expect("drop manifest");
+        assert!(store.load(&d).is_some());
+        // The load's row indexes the orphan: unlabelled, but sized and
+        // stamped in the manifest itself.
+        store.entries();
+        let text = fs::read_to_string(dir.0.join(MANIFEST_FILE)).expect("manifest rewritten");
+        let rows: Vec<ReportEntry> = pomtlb_trace::manifest::parse(&text);
+        assert_eq!(rows.len(), 1);
+        assert_eq!((rows[0].kind.as_str(), rows[0].workload.as_str()), ("?", "?"));
+        assert_eq!(rows[0].bytes, written);
+        assert!(rows[0].last_used > 0);
+    }
+
+    /// The manifest's inode, or 0 while there is none.
+    #[cfg(unix)]
+    fn manifest_inode(dir: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        fs::metadata(dir.join(MANIFEST_FILE)).map_or(0, |m| m.ino())
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn loads_within_one_second_write_the_manifest_at_most_once() {
+        let dir = TempDir::new("batched");
+        let store = ReportStore::open(&dir.0).expect("open");
+        let d = digest256(b"batched");
+        store.save(&d, b"memoized body", "compare", "gups").expect("save");
+        store.entries();
+        // Every write renames a fresh file over the manifest, so each one
+        // shows as a new inode after the load that made it.
+        let mut inode = manifest_inode(&dir.0);
+        let mut replaced = 0;
+        let first = unix_now();
+        for _ in 0..200 {
+            assert!(store.load(&d).is_some());
+            let now = manifest_inode(&dir.0);
+            replaced += u64::from(now != inode);
+            inode = now;
+        }
+        let seconds = unix_now() - first + 1;
+        assert!(replaced <= seconds, "{replaced} manifest writes in {seconds} s");
+        assert_eq!(store.counters().hits, 200);
+    }
+
+    #[test]
+    fn dropping_a_handle_flushes_its_pending_rows() {
+        let dir = TempDir::new("drop-flush");
+        let (a, b) = (digest256(b"first"), digest256(b"second"));
+        {
+            let store = ReportStore::open(&dir.0).expect("open");
+            store.save(&a, b"first body", "sim", "mcf").expect("save");
+            store.save(&b, b"second body", "compare", "gcc").expect("save, pending");
+        }
+        let entries = ReportStore::open(&dir.0).expect("reopen").entries();
+        assert_eq!(entries.len(), 2);
+        let label = |d: &[u8; 32]| {
+            let e = entries.iter().find(|e| e.digest == digest_hex(d)).expect("listed");
+            (e.kind.clone(), e.workload.clone())
+        };
+        assert_eq!(label(&a), ("sim".to_string(), "mcf".to_string()));
+        assert_eq!(label(&b), ("compare".to_string(), "gcc".to_string()));
+    }
+
+    #[test]
+    fn a_body_evicted_by_another_handle_is_a_clean_miss() {
+        let dir = TempDir::new("evicted");
+        let reader = ReportStore::open(&dir.0).expect("open reader");
+        let writer = ReportStore::open(&dir.0).expect("open writer").with_max_bytes(1);
+        let d = digest256(b"short-lived");
+        writer.save(&d, b"evicted by the next pass", "sim", "gups").expect("save");
+        writer.gc();
+        assert!(!writer.index.body_path(&digest_hex(&d)).exists(), "the writer's GC evicted it");
+        assert!(reader.load(&d).is_none());
+        let c = reader.counters();
+        assert_eq!((c.misses, c.load_failures), (1, 0), "eviction is not corruption");
+        drop(reader);
+        let manifest = fs::read_to_string(dir.0.join(MANIFEST_FILE)).unwrap_or_default();
+        assert!(!manifest.contains(&digest_hex(&d)), "an evicted body keeps no manifest row");
     }
 }

@@ -59,10 +59,11 @@ const MAX_CORES: u64 = 64;
 /// Largest POM-TLB a request may ask for, in MB (the paper sweeps 8–32).
 const MAX_CAPACITY_MB: u64 = 1024;
 
-/// Why [`ServeRequest::resolve`] refused a request's machine geometry or
-/// reference budget — checked before anything is allocated.
+/// Why [`ServeRequest::resolve`] (or the CLI's flag parsing) refused a
+/// request's machine geometry or reference budget — checked before
+/// anything is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EnvelopeError {
+pub enum EnvelopeError {
     /// `cores` outside `1..=MAX_CORES`.
     Cores(u64),
     /// `capacity_mb` not a power of two in `1..=MAX_CAPACITY_MB`.
@@ -97,7 +98,12 @@ impl std::fmt::Display for EnvelopeError {
 /// Checks a request's resolved geometry and budget: the core count and
 /// POM-TLB capacity `System::new` would allocate for, and the total
 /// reference count the trace key and the runner multiply out.
-fn check_envelope(cores: u64, capacity_mb: u64, warmup: u64, refs: u64) -> Result<(), EnvelopeError> {
+pub fn check_envelope(
+    cores: u64,
+    capacity_mb: u64,
+    warmup: u64,
+    refs: u64,
+) -> Result<(), EnvelopeError> {
     if !(1..=MAX_CORES).contains(&cores) {
         return Err(EnvelopeError::Cores(cores));
     }

@@ -586,6 +586,7 @@ mod tests {
     use super::*;
     use crate::event::OsEventRates;
     use crate::spec::WorkloadSpec;
+    use proptest::prelude::*;
 
     fn key(seed: u64) -> TraceKey {
         let spec = WorkloadSpec::builder("digest-test")
@@ -777,5 +778,116 @@ mod tests {
         wrong[96..104].copy_from_slice(&hsum.to_le_bytes());
         let err = parse_header(&wrong).expect_err("future version must be rejected");
         assert!(err.to_string().contains("format version"), "got: {err}");
+    }
+
+    /// The checks `TraceStore::load` runs, in its order.
+    fn decode(bytes: &[u8]) -> io::Result<(StoredHeader, Vec<(u64, OsEvent)>)> {
+        let h = parse_header(bytes)?;
+        validate_sections(bytes, &h)?;
+        let events = decode_events(&bytes[h.events_range.clone()], h.n_items)?;
+        Ok((h, events))
+    }
+
+    /// A valid recording file and the sections it was written from.
+    struct Recording {
+        file: Vec<u8>,
+        cores: Vec<u8>,
+        refs: Vec<u8>,
+        events: Vec<(u64, OsEvent)>,
+    }
+
+    /// A valid recording of `n_refs` references and `n_events` events,
+    /// spread evenly over the merged stream.
+    fn recording(n_refs: usize, n_events: usize, salt: u64) -> Recording {
+        let n_items = n_refs + n_events;
+        let cores: Vec<u8> =
+            (0..n_items as u64).flat_map(|i| ((i ^ salt) as u16 % 8).to_le_bytes()).collect();
+        let mut refs = Vec::new();
+        let mut rbuf = [0u8; RECORD_BYTES];
+        for i in 0..n_refs as u64 {
+            let kind = if (salt >> (i % 64)) & 1 == 1 {
+                pomtlb_types::AccessKind::Write
+            } else {
+                pomtlb_types::AccessKind::Read
+            };
+            let r = crate::record::MemoryRef::new(
+                i * 7 + salt % 1000,
+                Gva::new(0x1000 * ((salt.wrapping_add(i)) % (1 << 30) + 1)),
+                kind,
+                AddressSpace::default(),
+            );
+            crate::file::encode_record(&r, &mut rbuf);
+            refs.extend_from_slice(&rbuf);
+        }
+        let events: Vec<(u64, OsEvent)> = (0..n_events)
+            .map(|i| {
+                let va = Gva::new(0x2000 * (i as u64 + 1));
+                let kind = if i % 2 == 0 {
+                    OsEventKind::DestroyVm
+                } else {
+                    OsEventKind::UnmapPage { va, size: PageSize::Small4K }
+                };
+                let pos = (i * (n_items / n_events)) as u64;
+                (pos, OsEvent { icount: pos * 3, space: AddressSpace::default(), kind })
+            })
+            .collect();
+        let mut file = Vec::new();
+        write_stored(&mut file, &key_digest(&key(salt)), &cores, &refs, &events).expect("write");
+        Recording { file, cores, refs, events }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn intact_recording_round_trips(
+            n_refs in 1usize..40,
+            n_events in 0usize..6,
+            salt in any::<u64>(),
+        ) {
+            let r = recording(n_refs, n_events, salt);
+            let (h, back) = decode(&r.file).expect("an intact recording decodes");
+            prop_assert_eq!(h.digest, key_digest(&key(salt)));
+            prop_assert_eq!(&r.file[h.cores_range.clone()], r.cores.as_slice());
+            prop_assert_eq!(&r.file[h.refs_range.clone()], r.refs.as_slice());
+            prop_assert_eq!(back, r.events);
+        }
+
+        #[test]
+        fn any_flipped_byte_is_an_error(
+            n_refs in 1usize..40,
+            n_events in 0usize..6,
+            pos in any::<usize>(),
+            mask in any::<u8>(),
+        ) {
+            let mut file = recording(n_refs, n_events, pos as u64).file;
+            let pos = pos % file.len();
+            file[pos] ^= mask.max(1);
+            let flipped = decode(&file);
+            prop_assert!(flipped.is_err(), "flip of byte {} with {:#x} decoded", pos, mask.max(1));
+        }
+
+        #[test]
+        fn any_truncation_is_an_error(
+            n_refs in 1usize..40,
+            n_events in 0usize..6,
+            cut in any::<usize>(),
+        ) {
+            let file = recording(n_refs, n_events, cut as u64).file;
+            let cut = cut % file.len();
+            let truncated = decode(&file[..cut]);
+            prop_assert!(truncated.is_err(), "truncation to {} of {} decoded", cut, file.len());
+        }
+
+        #[test]
+        fn any_extension_is_an_error(
+            n_refs in 1usize..40,
+            n_events in 0usize..6,
+            tail in proptest::collection::vec(any::<u8>(), 1..64),
+        ) {
+            let mut file = recording(n_refs, n_events, tail.len() as u64).file;
+            file.extend_from_slice(&tail);
+            prop_assert!(decode(&file).is_err(), "{} trailing bytes decoded", tail.len());
+        }
     }
 }

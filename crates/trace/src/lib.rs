@@ -54,6 +54,7 @@ mod event;
 pub mod file;
 mod generator;
 mod interleave;
+pub mod manifest;
 mod picker;
 mod record;
 mod shared;
@@ -72,9 +73,9 @@ pub use interleave::{interleaver_constructions, CoreItem, CoreRef, Interleaver, 
 pub use record::MemoryRef;
 pub use shared::{SharedTrace, SharedTraceIter, TraceCursor, TraceKey};
 pub use spec::{LocalityModel, WorkloadSpec, WorkloadSpecBuilder};
+pub use manifest::GcReport;
 pub use store::{
-    GcReport, StoreCounters, StoreEntry, TraceStore, VerifyEntry, DEFAULT_MAX_BYTES,
-    STORE_FORMAT_VERSION,
+    StoreCounters, StoreEntry, TraceStore, VerifyEntry, DEFAULT_MAX_BYTES, STORE_FORMAT_VERSION,
 };
 pub use tenancy::{ChurnGenerator, TenantAttrib, TenantMix, CHURN_SEED_SALT, TENANT_SEED_SALT};
 pub use zipf::Zipf;

@@ -20,15 +20,18 @@
 //! recording. The manifest is *advisory*: it accelerates `stats` and feeds
 //! LRU eviction, but the recordings are self-describing and self-checking —
 //! a deleted or stale manifest only costs metadata, never correctness.
+//! Its rows, its once-per-second batched writes, its lock and the LRU GC
+//! pass live in [`crate::manifest`], shared with the serve crate's report
+//! store.
 //!
 //! # Fallback rules
 //!
 //! [`TraceStore::load`] returns `None` — and the caller regenerates live —
-//! for *any* defect: missing file, foreign magic, version or digest
-//! mismatch, bad length, failed checksum. A defective entry is reported on
-//! stderr and counted, never trusted; a subsequent save overwrites it. The
-//! store can therefore make a run faster or leave it unchanged, but never
-//! wrong.
+//! for a missing file (a clean miss) or *any* defect: foreign magic,
+//! version or digest mismatch, bad length, failed checksum. A defective
+//! entry is reported on stderr and counted, never trusted; a subsequent
+//! save overwrites it. The store can therefore make a run faster or leave
+//! it unchanged, but never wrong.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -48,10 +51,11 @@ use std::fs;
 use std::io::{self, BufWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crate::disk::{self, Mapping};
+use crate::manifest::{GcReport, Manifest, Row};
 use crate::shared::{Section, SharedTrace, TraceKey};
 use crate::spec::WorkloadSpec;
 
@@ -63,8 +67,6 @@ pub const STORE_FORMAT_VERSION: u32 = disk::FORMAT_VERSION;
 /// Default size cap for [`TraceStore::gc`]: 2 GiB.
 pub const DEFAULT_MAX_BYTES: u64 = 2 << 30;
 
-const MANIFEST_FILE: &str = "manifest.tsv";
-const MANIFEST_LOCK_FILE: &str = "manifest.lock";
 const TRACE_EXT: &str = "pomtrc";
 
 /// Total read attempts [`TraceStore::load`] makes against transient I/O
@@ -77,10 +79,6 @@ pub const DEFAULT_RETRY_BASE_DELAY: Duration = Duration::from_millis(10);
 
 /// Upper bound on the per-retry backoff delay.
 pub const RETRY_DELAY_CAP: Duration = Duration::from_millis(200);
-
-/// A lock file older than this is presumed left by a crashed writer and
-/// broken.
-const LOCK_STALE_AGE: Duration = Duration::from_secs(2);
 
 /// Transient errors are environmental hiccups worth retrying; everything
 /// else (corruption, truncation, version skew) is a *defect* that a
@@ -100,8 +98,8 @@ fn is_transient(e: &io::Error) -> bool {
 /// atomic-rename write protocol.
 #[derive(Debug)]
 pub struct TraceStore {
-    root: PathBuf,
-    max_bytes: u64,
+    /// Body paths, the manifest's pending rows, its flush and the GC pass.
+    index: Manifest<StoreEntry>,
     hits: AtomicU64,
     misses: AtomicU64,
     bytes_mapped: AtomicU64,
@@ -112,10 +110,6 @@ pub struct TraceStore {
     injected_load_faults: AtomicU64,
     retry_attempts: u32,
     retry_base_delay: Duration,
-    /// Serializes manifest read-modify-write cycles within this handle.
-    /// Cross-handle (and cross-process) writers are serialized by the
-    /// advisory `manifest.lock` file on top of this.
-    manifest_lock: Mutex<()>,
 }
 
 /// Counter snapshot of one store handle's activity.
@@ -177,89 +171,59 @@ impl VerifyEntry {
     }
 }
 
-/// What one [`TraceStore::gc`] pass evicted.
-#[derive(Debug, Clone, Default)]
-pub struct GcReport {
-    /// `(digest, bytes)` of evicted recordings, least recently used first.
-    pub evicted: Vec<(String, u64)>,
-    /// Recording bytes remaining on disk after the pass.
-    pub live_bytes: u64,
-}
+/// Fixed columns first, the workload name (the only free-form field) last.
+impl Row for StoreEntry {
+    const TAG: &'static str = "pomtlb-manifest";
+    const VERSION: u32 = STORE_FORMAT_VERSION;
 
-#[derive(Debug, Default)]
-struct Manifest {
-    format_version: u32,
-    entries: Vec<StoreEntry>,
-}
-
-/// Renders the manifest as a versioned tab-separated table: a header line,
-/// then one line per entry with the workload name last (the only free-form
-/// field, so embedded tabs cannot shift the fixed columns). Kept
-/// dependency-free on purpose — the manifest must stay writable even in
-/// builds where no JSON serializer is available.
-fn format_manifest(m: &Manifest) -> String {
-    let mut out = format!("pomtlb-manifest\t{}\n", m.format_version);
-    for e in &m.entries {
-        let workload: String = e.workload.chars().filter(|c| !c.is_control()).collect();
-        out.push_str(&format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\n",
-            e.digest,
-            e.seed,
-            e.n_cores,
-            u8::from(e.shared_memory),
-            e.total_refs,
-            e.bytes,
-            e.refs,
-            e.events,
-            e.last_used,
-            workload,
-        ));
+    fn digest(&self) -> &str {
+        &self.digest
     }
-    out
-}
 
-/// Inverse of [`format_manifest`]. Unreadable lines are skipped rather than
-/// failing the whole file: the manifest is advisory, so partial recovery
-/// beats none.
-fn parse_manifest(text: &str) -> Manifest {
-    let mut lines = text.lines();
-    let Some(version) = lines
-        .next()
-        .and_then(|h| h.strip_prefix("pomtlb-manifest\t"))
-        .and_then(|v| v.parse().ok())
-    else {
-        return Manifest::default();
-    };
-    let mut m = Manifest { format_version: version, entries: Vec::new() };
-    for line in lines {
+    fn last_used(&self) -> u64 {
+        self.last_used
+    }
+
+    fn set_last_used(&mut self, stamp: u64) {
+        self.last_used = stamp;
+    }
+
+    fn to_line(&self) -> String {
+        let workload: String = self.workload.chars().filter(|c| !c.is_control()).collect();
+        format!(
+            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+            self.digest,
+            self.seed,
+            self.n_cores,
+            u8::from(self.shared_memory),
+            self.total_refs,
+            self.bytes,
+            self.refs,
+            self.events,
+            self.last_used,
+            workload,
+        )
+    }
+
+    fn parse(line: &str) -> Option<StoreEntry> {
         let f: Vec<&str> = line.splitn(10, '\t').collect();
         if f.len() != 10 {
-            continue;
+            return None;
         }
         let num = |s: &str| s.parse::<u64>().ok();
-        let (Some(seed), Some(n_cores), Some(total_refs), Some(bytes), Some(refs), Some(events), Some(last_used)) =
-            (num(f[1]), num(f[2]), num(f[4]), num(f[5]), num(f[6]), num(f[7]), num(f[8]))
-        else {
-            continue;
-        };
-        m.entries.push(StoreEntry {
+        Some(StoreEntry {
             digest: f[0].to_string(),
             workload: f[9].to_string(),
-            seed,
-            n_cores: n_cores as usize,
+            seed: num(f[1])?,
+            n_cores: num(f[2])? as usize,
             shared_memory: f[3] == "1",
-            total_refs,
-            bytes,
-            refs,
-            events,
-            last_used,
-        });
+            total_refs: num(f[4])?,
+            bytes: num(f[5])?,
+            refs: num(f[6])?,
+            events: num(f[7])?,
+            last_used: num(f[8])?,
+        })
     }
-    m
-}
-
-fn unix_now() -> u64 {
-    SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
 }
 
 impl TraceStore {
@@ -269,8 +233,7 @@ impl TraceStore {
         let root = dir.into();
         fs::create_dir_all(&root)?;
         Ok(TraceStore {
-            root,
-            max_bytes: DEFAULT_MAX_BYTES,
+            index: Manifest::new(root, TRACE_EXT, DEFAULT_MAX_BYTES),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             bytes_mapped: AtomicU64::new(0),
@@ -279,13 +242,12 @@ impl TraceStore {
             injected_load_faults: AtomicU64::new(0),
             retry_attempts: DEFAULT_RETRY_ATTEMPTS,
             retry_base_delay: DEFAULT_RETRY_BASE_DELAY,
-            manifest_lock: Mutex::new(()),
         })
     }
 
     /// Replaces the garbage-collection size cap (floored at one byte).
     pub fn with_max_bytes(mut self, max_bytes: u64) -> TraceStore {
-        self.max_bytes = max_bytes.max(1);
+        self.index.set_max_bytes(max_bytes);
         self
     }
 
@@ -327,12 +289,12 @@ impl TraceStore {
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.root
+        self.index.root()
     }
 
     /// The garbage-collection size cap in bytes.
     pub fn max_bytes(&self) -> u64 {
-        self.max_bytes
+        self.index.max_bytes()
     }
 
     /// Snapshot of this handle's hit/miss counters.
@@ -346,10 +308,6 @@ impl TraceStore {
         }
     }
 
-    fn file_path(&self, digest_hex: &str) -> PathBuf {
-        self.root.join(format!("{digest_hex}.{TRACE_EXT}"))
-    }
-
     /// Loads the recording for `key`, or `None` on a miss.
     ///
     /// *Transient* I/O errors (interrupted / would-block / timed-out reads
@@ -360,14 +318,11 @@ impl TraceStore {
     /// checksum failure, or exhausted retries. Defects warn on stderr and
     /// count as [`StoreCounters::load_failures`]; the caller falls back to
     /// live generation, so a damaged store can cost time but never
-    /// correctness.
+    /// correctness. A file that is absent when opened — never saved, or
+    /// evicted by another handle a moment ago — is a clean miss.
     pub fn load(&self, key: &TraceKey) -> Option<Arc<SharedTrace>> {
         let hex = key.digest_hex();
-        let path = self.file_path(&hex);
-        if !path.exists() {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
+        let path = self.index.body_path(&hex);
         let attempts = self.retry_attempts.max(1);
         let mut attempt = 0u32;
         let outcome = loop {
@@ -401,11 +356,17 @@ impl TraceStore {
             }
         };
         match outcome {
-            Ok(trace) => {
+            Ok((trace, file_bytes)) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 self.bytes_mapped.fetch_add(trace.buffer_bytes() as u64, Ordering::Relaxed);
-                self.touch(&trace, &hex);
+                // An orphan (absent from the manifest) is indexed with its
+                // full identity, which this load holds.
+                self.index.loaded(&hex, || Self::entry_for(&trace, &hex, file_bytes));
                 Some(Arc::new(trace))
+            }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                self.misses.fetch_add(1, Ordering::Relaxed);
+                None
             }
             Err(e) => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -419,9 +380,11 @@ impl TraceStore {
         }
     }
 
-    fn try_load(&self, key: &TraceKey, path: &Path) -> io::Result<SharedTrace> {
+    /// The recording and its file size.
+    fn try_load(&self, key: &TraceKey, path: &Path) -> io::Result<(SharedTrace, u64)> {
         let map = Arc::new(Mapping::open(path)?);
         let bytes = map.bytes();
+        let file_bytes = bytes.len() as u64;
         let header = disk::parse_header(bytes)?;
         if header.digest != key.digest() {
             return Err(io::Error::new(
@@ -443,23 +406,18 @@ impl TraceStore {
             offset: header.refs_range.start,
             len: header.refs_range.len(),
         };
-        Ok(SharedTrace::from_sections(key.clone(), cores, refs, events))
+        Ok((SharedTrace::from_sections(key.clone(), cores, refs, events), file_bytes))
     }
 
     /// Persists `trace`, returning the bytes written. The write goes to a
-    /// tmp file and is atomically renamed into place, then the manifest is
-    /// updated and a GC pass enforces the size cap.
+    /// per-call tmp file, is synced and atomically renamed into place, then
+    /// the manifest row is recorded; the flush that merges it runs a GC
+    /// pass to enforce the size cap.
     pub fn save(&self, trace: &SharedTrace) -> io::Result<u64> {
         let key = trace.key();
         let hex = key.digest_hex();
-        // The tmp name is unique per call (not just per digest): two
-        // handles recording the same stream concurrently must each stage
-        // into their own file, or the interleaved writes could rename a
-        // torn recording into place.
-        static SAVE_SEQ: AtomicU64 = AtomicU64::new(0);
-        let seq = SAVE_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = self.root.join(format!(".{hex}.{}.{seq}.tmp", std::process::id()));
-        let path = self.file_path(&hex);
+        let tmp = self.index.tmp_path(&hex);
+        let path = self.index.body_path(&hex);
         let digest = key.digest();
         let file = fs::File::create(&tmp)?;
         let mut w = BufWriter::new(file);
@@ -474,8 +432,7 @@ impl TraceStore {
         file.sync_all()?;
         drop(file);
         fs::rename(&tmp, &path)?;
-        self.index(trace, &hex, written);
-        self.gc();
+        self.index.saved(Self::entry_for(trace, &hex, written));
         Ok(written)
     }
 
@@ -508,54 +465,26 @@ impl TraceStore {
         trace
     }
 
-    /// Scans the directory for recording files: `(digest, bytes)` pairs.
-    fn scan(&self) -> Vec<(String, u64)> {
-        let Ok(dir) = fs::read_dir(&self.root) else { return Vec::new() };
-        let mut out: Vec<(String, u64)> = dir
-            .flatten()
-            .filter_map(|entry| {
-                let path = entry.path();
-                if path.extension().is_some_and(|e| e == TRACE_EXT) {
-                    let stem = path.file_stem()?.to_str()?.to_string();
-                    let bytes = entry.metadata().ok()?.len();
-                    Some((stem, bytes))
-                } else {
-                    None
-                }
-            })
-            .collect();
-        out.sort();
-        out
-    }
-
-    fn file_mtime_unix(&self, digest: &str) -> u64 {
-        fs::metadata(self.file_path(digest))
-            .and_then(|m| m.modified())
-            .ok()
-            .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-            .map(|d| d.as_secs())
-            .unwrap_or(0)
-    }
-
     /// Every recording currently on disk, most recently used first.
     pub fn entries(&self) -> Vec<StoreEntry> {
-        let manifest = self.read_manifest();
+        let manifest = self.index.rows();
         let mut out: Vec<StoreEntry> = self
+            .index
             .scan()
             .into_iter()
             .map(|(digest, bytes)| {
-                match manifest.entries.iter().find(|e| e.digest == digest) {
+                match manifest.iter().find(|e| e.digest == digest) {
                     Some(m) => StoreEntry { bytes, ..m.clone() },
                     None => {
                         // Not indexed (the manifest is advisory) — recover
                         // the record counts from the file header itself.
-                        let (refs, events) = disk::Mapping::open(&self.file_path(&digest))
+                        let (refs, events) = disk::Mapping::open(&self.index.body_path(&digest))
                             .ok()
                             .and_then(|m| disk::parse_header(m.bytes()).ok())
                             .map(|h| (h.n_refs, h.n_events))
                             .unwrap_or((0, 0));
                         StoreEntry {
-                            last_used: self.file_mtime_unix(&digest),
+                            last_used: self.index.mtime(&digest),
                             digest,
                             workload: "?".into(),
                             seed: 0,
@@ -576,7 +505,7 @@ impl TraceStore {
 
     /// Total bytes of recordings on disk (manifest excluded).
     pub fn total_bytes(&self) -> u64 {
-        self.scan().iter().map(|(_, b)| b).sum()
+        self.index.scan().iter().map(|(_, b)| b).sum()
     }
 
     /// Integrity-checks every recording on disk: header, exact length,
@@ -584,111 +513,27 @@ impl TraceStore {
     /// with the reason but left in place (the next `save` of that key
     /// overwrites them; `gc` evicts them like any other entry).
     pub fn verify(&self) -> Vec<VerifyEntry> {
-        self.scan()
+        self.index
+            .scan()
             .into_iter()
             .map(|(digest, bytes)| {
-                let error = disk::verify_file(&self.file_path(&digest)).err().map(|e| e.to_string());
+                let error = disk::verify_file(&self.index.body_path(&digest)).err().map(|e| e.to_string());
                 VerifyEntry { digest, bytes, error }
             })
             .collect()
     }
 
     /// Evicts least-recently-used recordings until the store fits
-    /// [`TraceStore::max_bytes`]. Recency comes from the manifest's
-    /// `last_used` stamps, falling back to file mtime for unindexed files;
-    /// ties break by digest so the pass is deterministic.
+    /// [`TraceStore::max_bytes`], after merging this handle's pending
+    /// manifest rows. Recency comes from the manifest's `last_used` stamps,
+    /// falling back to file mtime for unindexed files; ties break by digest
+    /// so the pass is deterministic.
     pub fn gc(&self) -> GcReport {
-        let files = self.scan();
-        let mut total: u64 = files.iter().map(|(_, b)| b).sum();
-        if total <= self.max_bytes {
-            return GcReport { evicted: Vec::new(), live_bytes: total };
-        }
-        let manifest = self.read_manifest();
-        let mut ranked: Vec<(u64, String, u64)> = files
-            .into_iter()
-            .map(|(digest, bytes)| {
-                let stamp = manifest
-                    .entries
-                    .iter()
-                    .find(|e| e.digest == digest)
-                    .map(|e| e.last_used)
-                    .unwrap_or_else(|| self.file_mtime_unix(&digest));
-                (stamp, digest, bytes)
-            })
-            .collect();
-        ranked.sort();
-        let mut evicted = Vec::new();
-        for (_, digest, bytes) in ranked {
-            if total <= self.max_bytes {
-                break;
-            }
-            if fs::remove_file(self.file_path(&digest)).is_ok() {
-                total = total.saturating_sub(bytes);
-                evicted.push((digest, bytes));
-            }
-        }
-        if !evicted.is_empty() {
-            let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-            let _dir = self.lock_manifest_dir();
-            let mut manifest = self.read_manifest();
-            manifest.entries.retain(|e| !evicted.iter().any(|(d, _)| *d == e.digest));
-            self.write_manifest(&manifest);
-        }
-        GcReport { evicted, live_bytes: total }
+        self.index.gc()
     }
 
-    fn read_manifest(&self) -> Manifest {
-        fs::read_to_string(self.root.join(MANIFEST_FILE))
-            .map(|s| parse_manifest(&s))
-            .unwrap_or_default()
-    }
-
-    /// Best-effort manifest write (tmp + rename). The manifest is advisory,
-    /// so failures are silently absorbed.
-    fn write_manifest(&self, manifest: &Manifest) {
-        let tmp = self.root.join(".manifest.tmp");
-        if fs::write(&tmp, format_manifest(manifest)).is_ok() {
-            let _ = fs::rename(&tmp, self.root.join(MANIFEST_FILE));
-        }
-    }
-
-    /// Acquires the advisory cross-process manifest lock: an exclusively
-    /// created `manifest.lock` file, removed by the returned guard's drop.
-    ///
-    /// Two handles (or processes) that interleave read-modify-write cycles
-    /// unserialized can each rewrite the manifest from their own snapshot
-    /// and silently drop the other's entry — the save-vs-gc race this lock
-    /// closes. The lock is *advisory* like the manifest itself: a lock
-    /// older than [`LOCK_STALE_AGE`] is presumed orphaned by a crashed
-    /// writer and broken, and if the lock cannot be acquired within the
-    /// bounded wait the write proceeds unlocked — metadata must never
-    /// deadlock a sweep.
-    fn lock_manifest_dir(&self) -> DirLockGuard {
-        let path = self.root.join(MANIFEST_LOCK_FILE);
-        for _ in 0..50 {
-            match fs::OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(_) => return DirLockGuard { path, held: true },
-                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let stale = fs::metadata(&path)
-                        .and_then(|m| m.modified())
-                        .ok()
-                        .and_then(|t| SystemTime::now().duration_since(t).ok())
-                        .is_some_and(|age| age > LOCK_STALE_AGE);
-                    if stale {
-                        let _ = fs::remove_file(&path);
-                    } else {
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                }
-                // Unwritable directory or the like: locking is impossible,
-                // proceed unlocked rather than spinning.
-                Err(_) => break,
-            }
-        }
-        DirLockGuard { path, held: false }
-    }
-
-    /// The manifest row for a recording whose identity we hold in full.
+    /// The manifest row for a recording whose identity we hold in full
+    /// (the index stamps it).
     fn entry_for(trace: &SharedTrace, digest: &str, bytes: u64) -> StoreEntry {
         let key = trace.key();
         StoreEntry {
@@ -701,65 +546,7 @@ impl TraceStore {
             bytes,
             refs: trace.refs(),
             events: trace.events(),
-            last_used: unix_now(),
-        }
-    }
-
-    fn index(&self, trace: &SharedTrace, digest: &str, bytes: u64) {
-        let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _dir = self.lock_manifest_dir();
-        let mut manifest = self.read_manifest();
-        manifest.format_version = STORE_FORMAT_VERSION;
-        manifest.entries.retain(|e| e.digest != digest);
-        manifest.entries.push(Self::entry_for(trace, digest, bytes));
-        self.write_manifest(&manifest);
-    }
-
-    /// Stamps `digest` as just-used. A recording that is *not* in the
-    /// manifest — orphaned by a deleted or lost manifest, or written by
-    /// another tool — is indexed on the spot with its full identity (the
-    /// caller just loaded it, so the identity is at hand): without this,
-    /// orphans kept their file mtime forever and were first in line for
-    /// every GC pass no matter how hot they were.
-    fn touch(&self, trace: &SharedTrace, digest: &str) {
-        let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _dir = self.lock_manifest_dir();
-        let mut manifest = self.read_manifest();
-        match manifest.entries.iter_mut().find(|e| e.digest == digest) {
-            Some(entry) => entry.last_used = unix_now(),
-            None => {
-                manifest.format_version = STORE_FORMAT_VERSION;
-                let bytes = fs::metadata(self.file_path(digest)).map(|m| m.len()).unwrap_or(0);
-                manifest.entries.push(Self::entry_for(trace, digest, bytes));
-            }
-        }
-        self.write_manifest(&manifest);
-    }
-
-    #[cfg(test)]
-    fn force_last_used(&self, digest: &str, stamp: u64) {
-        let _guard = self.manifest_lock.lock().unwrap_or_else(|e| e.into_inner());
-        let _dir = self.lock_manifest_dir();
-        let mut manifest = self.read_manifest();
-        if let Some(entry) = manifest.entries.iter_mut().find(|e| e.digest == digest) {
-            entry.last_used = stamp;
-            self.write_manifest(&manifest);
-        }
-    }
-}
-
-/// Guard for [`TraceStore::lock_manifest_dir`]: removes the lock file on
-/// drop when it was actually acquired.
-#[derive(Debug)]
-struct DirLockGuard {
-    path: PathBuf,
-    held: bool,
-}
-
-impl Drop for DirLockGuard {
-    fn drop(&mut self) {
-        if self.held {
-            let _ = fs::remove_file(&self.path);
+            last_used: 0,
         }
     }
 }
@@ -768,6 +555,7 @@ impl Drop for DirLockGuard {
 mod tests {
     use super::*;
     use crate::event::OsEventRates;
+    use crate::manifest;
     use crate::spec::LocalityModel;
 
     struct TempDir(PathBuf);
@@ -858,7 +646,7 @@ mod tests {
         let s = spec("bad");
         let live = Arc::new(SharedTrace::generate(&s, 9, 2, false, 500));
         store.save(&live).expect("save");
-        let path = store.file_path(&live.key().digest_hex());
+        let path = store.index.body_path(&live.key().digest_hex());
         let mut bytes = fs::read(&path).expect("read back");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -888,7 +676,7 @@ mod tests {
             traces.iter().map(|t| writer.save(t).expect("save")).collect();
         // Make recency unambiguous: oldest → newest by seed.
         for (i, t) in traces.iter().enumerate() {
-            writer.force_last_used(&t.key().digest_hex(), 1000 + i as u64);
+            writer.index.force_last_used(&t.key().digest_hex(), 1000 + i as u64);
         }
         // Cap fits the two newest recordings but not all three.
         let store = TraceStore::open(&dir.0)
@@ -922,32 +710,30 @@ mod tests {
 
     #[test]
     fn manifest_round_trips_through_text() {
-        let m = Manifest {
-            format_version: STORE_FORMAT_VERSION,
-            entries: vec![StoreEntry {
-                digest: "ab".repeat(32),
-                workload: "gups".into(),
-                seed: 7,
-                n_cores: 4,
-                shared_memory: true,
-                total_refs: 9000,
-                bytes: 1234,
-                refs: 8000,
-                events: 12,
-                last_used: 1722,
-            }],
-        };
-        let back = parse_manifest(&format_manifest(&m));
-        assert_eq!(back.format_version, m.format_version);
-        assert_eq!(back.entries.len(), 1);
-        let (a, b) = (&m.entries[0], &back.entries[0]);
+        let m = vec![StoreEntry {
+            digest: "ab".repeat(32),
+            workload: "gups".into(),
+            seed: 7,
+            n_cores: 4,
+            shared_memory: true,
+            total_refs: 9000,
+            bytes: 1234,
+            refs: 8000,
+            events: 12,
+            last_used: 1722,
+        }];
+        let text = manifest::format(&m);
+        assert!(text.starts_with(&format!("pomtlb-manifest\t{STORE_FORMAT_VERSION}\n")));
+        let back: Vec<StoreEntry> = manifest::parse(&text);
+        assert_eq!(back.len(), 1);
+        let (a, b) = (&m[0], &back[0]);
         assert_eq!((a.digest.as_str(), a.workload.as_str()), (b.digest.as_str(), b.workload.as_str()));
         assert_eq!((a.seed, a.n_cores, a.shared_memory), (b.seed, b.n_cores, b.shared_memory));
         assert_eq!(
             (a.total_refs, a.bytes, a.refs, a.events, a.last_used),
             (b.total_refs, b.bytes, b.refs, b.events, b.last_used)
         );
-        assert!(parse_manifest("not a manifest\n").entries.is_empty());
+        assert!(manifest::parse::<StoreEntry>("not a manifest\n").is_empty());
     }
 
     #[test]
@@ -999,8 +785,10 @@ mod tests {
         let s = spec("orphan");
         let live = Arc::new(SharedTrace::generate(&s, 31, 2, true, 700));
         store.save(&live).expect("save");
-        // Lose the manifest: the recording is now an orphan whose recency
-        // would otherwise be frozen at file mtime forever.
+        // `entries()` flushes the save's pending row; then lose the
+        // manifest: the recording is now an orphan whose recency would
+        // otherwise be frozen at file mtime forever.
+        assert_eq!(store.entries()[0].workload, "orphan", "the save was indexed");
         fs::remove_file(dir.0.join("manifest.tsv")).expect("drop manifest");
         let before = store.entries();
         assert_eq!(before[0].workload, "?", "orphan has no manifest identity");
@@ -1015,8 +803,74 @@ mod tests {
         // And the restored stamp is manifest-backed: it can now be aged
         // like any indexed entry (force_last_used edits manifest entries
         // only, so this succeeding proves the entry exists there).
-        store.force_last_used(&live.key().digest_hex(), 42);
+        store.index.force_last_used(&live.key().digest_hex(), 42);
         assert_eq!(store.entries()[0].last_used, 42);
+    }
+
+    /// The manifest's inode, or 0 while there is none.
+    #[cfg(unix)]
+    fn manifest_inode(dir: &Path) -> u64 {
+        use std::os::unix::fs::MetadataExt;
+        fs::metadata(dir.join(manifest::MANIFEST_FILE)).map_or(0, |m| m.ino())
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn loads_within_one_second_write_the_manifest_at_most_once() {
+        let dir = TempDir::new("batched");
+        let store = TraceStore::open(&dir.0).expect("open");
+        let live = Arc::new(SharedTrace::generate(&spec("batched"), 51, 1, false, 300));
+        store.save(&live).expect("save");
+        store.entries();
+        // Every write renames a fresh file over the manifest, so each one
+        // shows as a new inode after the load that made it.
+        let mut inode = manifest_inode(&dir.0);
+        let mut replaced = 0;
+        let first = manifest::unix_now();
+        for _ in 0..200 {
+            assert!(store.load(live.key()).is_some());
+            let now = manifest_inode(&dir.0);
+            replaced += u64::from(now != inode);
+            inode = now;
+        }
+        let seconds = manifest::unix_now() - first + 1;
+        assert!(replaced <= seconds, "{replaced} manifest writes in {seconds} s");
+        assert_eq!(store.counters().hits, 200);
+    }
+
+    #[test]
+    fn dropping_a_handle_flushes_its_pending_rows() {
+        let dir = TempDir::new("drop-flush");
+        let t = Arc::new(SharedTrace::generate(&spec("dropped"), 52, 2, true, 300));
+        {
+            let store = TraceStore::open(&dir.0).expect("open");
+            store.save(&t).expect("save");
+            store.save(&Arc::new(SharedTrace::generate(&spec("later"), 53, 1, false, 300)))
+                .expect("second save, pending in the same second");
+        }
+        let fresh = TraceStore::open(&dir.0).expect("reopen");
+        let entries = fresh.entries();
+        assert_eq!(entries.len(), 2);
+        for e in &entries {
+            assert_ne!(e.workload, "?", "every save was indexed by the drop: {}", e.digest);
+        }
+        let e = entries.iter().find(|e| e.digest == t.key().digest_hex()).expect("listed");
+        let identity = (e.workload.as_str(), e.seed, e.n_cores, e.shared_memory);
+        assert_eq!(identity, ("dropped", 52, 2, true));
+    }
+
+    #[test]
+    fn a_flush_into_a_deleted_directory_fails_quietly() {
+        let dir = TempDir::new("deleted");
+        let store = TraceStore::open(&dir.0).expect("open");
+        let t = Arc::new(SharedTrace::generate(&spec("gone"), 54, 1, false, 300));
+        store.save(&t).expect("save");
+        store.save(&t).expect("re-save leaves a pending row");
+        fs::remove_dir_all(&dir.0).expect("delete the store");
+        assert!(store.entries().is_empty());
+        assert!(store.gc().evicted.is_empty());
+        drop(store);
+        assert!(!dir.0.exists(), "nothing was recreated");
     }
 
     #[test]
