@@ -4,13 +4,8 @@
 //!
 //! ```text
 //! perf_track [--out PATH] [--jobs N|auto] [--refs N] [--warmup N]
-//!            [--laps N] [--baseline-serial-ms X] [--trace-store DIR]
-//!            [--chunk-refs N]
+//!            [--laps N] [--trace-store DIR] [--chunk-refs N]
 //! ```
-//!
-//! `--baseline-serial-ms X` records a prior commit's serial wall time for
-//! the same pinned matrix and emits the speedup of this build against it,
-//! so a checked-in artifact documents cross-commit comparisons explicitly.
 //!
 //! Each mode (serial / trace-cached / pooled) is run `--laps` times
 //! (default 3) and the best lap is reported: wall-clock medians on shared
@@ -326,7 +321,6 @@ fn main() -> ExitCode {
     let mut refs = 8_000u64;
     let mut warmup = 4_000u64;
     let mut laps = 3u32;
-    let mut baseline_serial_ms: Option<f64> = None;
     let mut trace_store_dir: Option<String> = None;
     let mut chunk_refs_n = 2_048u64;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -352,11 +346,6 @@ fn main() -> ExitCode {
             }),
             "--laps" => value("--laps")
                 .and_then(|v| v.parse().map(|n| laps = n).map_err(|_| format!("bad --laps `{v}`"))),
-            "--baseline-serial-ms" => value("--baseline-serial-ms").and_then(|v| {
-                v.parse()
-                    .map(|x| baseline_serial_ms = Some(x))
-                    .map_err(|_| format!("bad --baseline-serial-ms `{v}`"))
-            }),
             "--trace-store" => {
                 value("--trace-store").map(|v| trace_store_dir = Some(v.clone()))
             }
@@ -369,7 +358,7 @@ fn main() -> ExitCode {
             eprintln!("{e}");
             eprintln!(
                 "usage: perf_track [--out PATH] [--jobs N|auto] [--refs N] [--warmup N] \
-                 [--laps N] [--baseline-serial-ms X] [--trace-store DIR] [--chunk-refs N]"
+                 [--laps N] [--trace-store DIR] [--chunk-refs N]"
             );
             return ExitCode::FAILURE;
         }
@@ -1023,21 +1012,6 @@ fn main() -> ExitCode {
     let _ = writeln!(j, "    \"byte_identical\": {tcp_identical},");
     let _ = writeln!(j, "    \"serve_tcp_ok\": {serve_tcp_ok}");
     j.push_str("  },\n");
-    if let Some(base_ms) = baseline_serial_ms {
-        j.push_str("  \"baseline\": {\n");
-        let _ = writeln!(j, "    \"serial_wall_ms\": {},", jnum(base_ms));
-        let _ = writeln!(
-            j,
-            "    \"speedup_serial\": {},",
-            jnum(if serial_secs > 0.0 { base_ms / (serial_secs * 1e3) } else { 0.0 })
-        );
-        let _ = writeln!(
-            j,
-            "    \"speedup_trace_cache\": {}",
-            jnum(if cache_secs > 0.0 { base_ms / (cache_secs * 1e3) } else { 0.0 })
-        );
-        j.push_str("  },\n");
-    }
     let _ = writeln!(j, "  \"parallel_wall_ms\": {},", jnum(parallel_secs * 1e3));
     let _ = writeln!(j, "  \"speedup\": {},", jopt(pool_ratio(serial_secs, parallel_secs)));
     let _ = writeln!(j, "  \"deterministic\": {deterministic}");

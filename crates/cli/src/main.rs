@@ -68,7 +68,9 @@ use pom_tlb::{
     FaultConfig, FaultStats, PomTlbConfig, Scheme, ShootdownStats, SimConfig, SimJob, SimReport,
     SystemConfig,
 };
-use pomtlb_serve::{check_envelope, ReportStore, ServeConfig, Service};
+use pomtlb_serve::{
+    check_envelope, fault_sweep_default_events, parse_scheme, ReportStore, ServeConfig, Service,
+};
 use pomtlb_tlb::WalkMode;
 use pomtlb_trace::{OsEventRates, TraceStore};
 use pomtlb_workloads::consolidation::{consolidation_spec, resolve_mix};
@@ -193,7 +195,7 @@ fn parse(args: &[String]) -> Result<Options, String> {
             "--vm-destroys-per-10k" => {
                 o.events.vm_destroys = fnum(&value("--vm-destroys-per-10k")?)?;
             }
-            "--vms" => o.vms = num(&value("--vms")?)? as u32,
+            "--vms" => o.vms = num_u32(&value("--vms")?)?,
             "--churn-destroys-per-10k" => {
                 o.churn_destroys = fnum(&value("--churn-destroys-per-10k")?)?;
             }
@@ -235,21 +237,14 @@ fn num(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("`{s}` is not a number"))
 }
 
-fn fnum(s: &str) -> Result<f64, String> {
-    s.parse().map_err(|_| format!("`{s}` is not a number"))
+/// A flag held in a `u32`: values past `u32::MAX` are refused, never
+/// wrapped.
+fn num_u32(s: &str) -> Result<u32, String> {
+    u32::try_from(num(s)?).map_err(|_| format!("`{s}` is out of range (at most {})", u32::MAX))
 }
 
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
-    match s {
-        "baseline" => Ok(Scheme::Baseline),
-        "pom-tlb" | "pom" => Ok(Scheme::pom_tlb()),
-        "pom-uncached" => Ok(Scheme::pom_tlb_uncached()),
-        "shared-l2" => Ok(Scheme::SharedL2),
-        "tsb" => Ok(Scheme::Tsb),
-        other => Err(format!(
-            "unknown scheme `{other}` (baseline | pom-tlb | pom-uncached | shared-l2 | tsb)"
-        )),
-    }
+fn fnum(s: &str) -> Result<f64, String> {
+    s.parse().map_err(|_| format!("`{s}` is not a number"))
 }
 
 fn run_command(args: &[String], kind: CommandKind) -> ExitCode {
@@ -645,13 +640,6 @@ struct FaultRow {
     consistency: bool,
     p_avg: f64,
     faults: FaultStats,
-}
-
-/// The OS event mix `fault-sweep` uses when no event flags were given:
-/// remap-heavy enough that dropped-IPI and stale-reinsertion faults have
-/// real OS events to ride on (the bit-flip kinds need none).
-fn fault_sweep_default_events() -> OsEventRates {
-    OsEventRates { unmaps: 12.0, remaps: 6.0, promotes: 0.5, migrations: 1.0, vm_destroys: 0.0 }
 }
 
 /// Builds the fault-sweep batch: every scheme × consistency {on, off},
@@ -1215,7 +1203,7 @@ fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
         match a.as_str() {
             "--tcp" => addr = Some(value("--tcp")?),
             "--deadline-ms" => deadline_ms = num(&value("--deadline-ms")?)?,
-            "--max-retries" => max_retries = num(&value("--max-retries")?)? as u32,
+            "--max-retries" => max_retries = num_u32(&value("--max-retries")?)?,
             "--backoff-base-ms" => backoff_base_ms = num(&value("--backoff-base-ms")?)?,
             "--backoff-cap-ms" => backoff_cap_ms = num(&value("--backoff-cap-ms")?)?,
             "--seed" => seed = num(&value("--seed")?)?,
@@ -1306,11 +1294,9 @@ fn run_chaos_proxy(args: &[String]) -> ExitCode {
             match a.as_str() {
                 "--upstream" => upstream = Some(value("--upstream")?),
                 "--seed" => cfg.seed = num(&value("--seed")?)?,
-                "--reset-per-10k" => cfg.reset_per_10k = num(&value("--reset-per-10k")?)? as u32,
-                "--torn-per-10k" => {
-                    cfg.torn_write_per_10k = num(&value("--torn-per-10k")?)? as u32;
-                }
-                "--stall-per-10k" => cfg.stall_per_10k = num(&value("--stall-per-10k")?)? as u32,
+                "--reset-per-10k" => cfg.reset_per_10k = num_u32(&value("--reset-per-10k")?)?,
+                "--torn-per-10k" => cfg.torn_write_per_10k = num_u32(&value("--torn-per-10k")?)?,
+                "--stall-per-10k" => cfg.stall_per_10k = num_u32(&value("--stall-per-10k")?)?,
                 "--stall-ms" => cfg.stall_ms = num(&value("--stall-ms")?)?,
                 "--delay-ms" => cfg.delay_ms = num(&value("--delay-ms")?)?,
                 other => return Err(format!("unknown chaos-proxy flag `{other}`")),
@@ -1578,8 +1564,7 @@ FLAGS:
   --chunk-refs N    split each batched job into N-reference chunks
                     scheduled by work stealing across --jobs workers
                     (0 = whole-job scheduling, default). Any chunk size
-                    produces byte-identical output; smaller chunks
-                    balance load better at more scheduling overhead
+                    produces byte-identical output
   --trace-cache     batched commands record each input stream once and
                     replay it to every scheme instead of regenerating it
                     per run. Output is byte-identical either way
@@ -1691,6 +1676,9 @@ mod tests {
         assert_eq!(o.churn_forks, 0.25);
         assert!(o.no_churn && o.assert_determinism);
         assert!(parse(&["--vms".into()]).is_err());
+        // 2^32 + 50 is refused, not wrapped to a 50-VM run.
+        assert_eq!(parse(&["--vms".into(), "4294967295".into()]).unwrap().vms, u32::MAX);
+        assert!(parse(&["--vms".into(), "4294967346".into()]).is_err());
     }
 
     #[test]
@@ -1868,6 +1856,12 @@ mod tests {
         assert_eq!(p.cfg.backoff_cap, std::time::Duration::from_millis(200));
         assert_eq!(p.cfg.seed, 42);
         assert!(parse_client(&["--tcp".into(), "h:1".into(), "--bogus".into()]).is_err());
+        let retries = |v: &str| {
+            parse_client(&["--tcp".into(), "h:1".into(), "--max-retries".into(), v.into()])
+                .map(|c| c.cfg.max_retries)
+        };
+        assert_eq!(retries("4294967295"), Ok(u32::MAX));
+        assert!(retries("4294967296").is_err(), "refused, not wrapped to 0");
     }
 
     #[test]

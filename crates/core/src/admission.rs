@@ -2,7 +2,7 @@
 //!
 //! The serve daemon (and any other multi-conversation frontend) runs many
 //! request handlers against **one** machine's worth of cores. Each handler
-//! that reaches its compute path wants the whole chunk-scheduler pool; N
+//! that reaches its compute path wants the whole worker pool; N
 //! handlers computing at once would oversubscribe it N-fold and turn every
 //! request's latency into the convoy of all of them. [`AdmissionControl`]
 //! is the gate in front of the pool: a counting semaphore with a *bounded

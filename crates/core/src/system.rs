@@ -59,10 +59,9 @@ struct Counters {
 /// custom experiments (see the `custom_workload` example).
 ///
 /// `Clone` is the system-state snapshot primitive: every component is a
-/// plain owned value (the SoA TLB/cache arrays clone as flat memcpys, the
-/// page tables as arena copies), so a clone is a consistent mid-stream
-/// checkpoint the chunked scheduler and the fork-modeling example restore
-/// from.
+/// plain owned value (the SoA TLB/cache arrays clone as flat memcpys), so
+/// a clone is a consistent mid-stream checkpoint the chunked scheduler's
+/// chunk-level retry restores from.
 #[derive(Clone)]
 pub struct System {
     config: SystemConfig,
@@ -953,7 +952,7 @@ mod tests {
     #[test]
     fn cloned_system_is_an_independent_machine_snapshot() {
         // `System: Clone` is the whole-machine snapshot primitive behind
-        // chunk retry and fork modeling: a clone must carry every cached
+        // chunk-level retry: a clone must carry every cached
         // translation, and divergence (a shootdown storm in the clone)
         // must leave the original untouched.
         let space = AddressSpace::new(VmId(0), ProcessId(0));

@@ -69,8 +69,9 @@ pub use report_store::{
     DEFAULT_REPORT_MAX_BYTES, REPORT_FORMAT_VERSION,
 };
 pub use request::{
-    check_envelope, request_bytes, request_digest, EnvelopeError, RequestKind, ResolvedRequest,
-    RowMeta, ServeRequest, TenantParams, REQUEST_DIGEST_VERSION,
+    check_envelope, fault_sweep_default_events, parse_scheme, request_bytes, request_digest,
+    EnvelopeError, RequestKind, ResolvedRequest, RowMeta, ServeRequest, TenantParams,
+    REQUEST_DIGEST_VERSION,
 };
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
 pub use client::{Client, ClientConfig, ClientCounters, ClientError};

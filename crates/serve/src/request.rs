@@ -248,10 +248,13 @@ impl RequestKind {
     }
 }
 
-fn parse_scheme(s: &str) -> Result<Scheme, String> {
+/// Parses a scheme name, as spelled by the CLI's `--scheme` flag and a
+/// `sim` request's `scheme` knob. The empty string is not a scheme: a
+/// request that leaves `scheme` unset gets the default before parsing.
+pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
     match s {
-        "" | "pom-tlb" | "pom" => Ok(Scheme::pom_tlb()),
         "baseline" => Ok(Scheme::Baseline),
+        "pom-tlb" | "pom" => Ok(Scheme::pom_tlb()),
         "pom-uncached" => Ok(Scheme::pom_tlb_uncached()),
         "shared-l2" => Ok(Scheme::SharedL2),
         "tsb" => Ok(Scheme::Tsb),
@@ -261,10 +264,10 @@ fn parse_scheme(s: &str) -> Result<Scheme, String> {
     }
 }
 
-/// The OS event mix `fault-sweep` uses when no event knobs were given:
-/// remap-heavy enough that the shootdown-borne fault kinds have real OS
-/// events to ride on (same mix as the CLI's `fault-sweep`).
-fn fault_sweep_default_events() -> OsEventRates {
+/// The OS event mix `fault-sweep` uses when no event knobs were given,
+/// on the CLI and in requests alike: remap-heavy enough that the
+/// shootdown-borne fault kinds have real OS events to ride on.
+pub fn fault_sweep_default_events() -> OsEventRates {
     OsEventRates { unmaps: 12.0, remaps: 6.0, promotes: 0.5, migrations: 1.0, vm_destroys: 0.0 }
 }
 
@@ -362,6 +365,7 @@ impl ServeRequest {
             (Some(workload), None)
         };
         let schemes = match kind {
+            RequestKind::Sim if self.scheme.is_empty() => vec![Scheme::pom_tlb()],
             RequestKind::Sim => vec![parse_scheme(&self.scheme)?],
             _ => vec![Scheme::Baseline, Scheme::pom_tlb(), Scheme::SharedL2, Scheme::Tsb],
         };

@@ -415,8 +415,8 @@ impl RadixPageTable {
 ///
 /// Because the table is a single contiguous arena, capture and
 /// [`RadixPageTable::restore`] are both O(table bytes) memcpys with no
-/// pointer graph to chase; this is what makes fork/VM-clone modeling and
-/// mid-stream chunk resumption cheap.
+/// pointer graph to chase; this is what makes fork/VM-clone modeling
+/// cheap.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TableSnapshot {
     root: u64,
