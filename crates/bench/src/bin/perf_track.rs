@@ -4,7 +4,7 @@
 //!
 //! ```text
 //! perf_track [--out PATH] [--jobs N|auto] [--refs N] [--warmup N]
-//!            [--laps N] [--trace-store DIR] [--chunk-refs N]
+//!            [--laps N] [--trace-store DIR]
 //! ```
 //!
 //! Each mode (serial / trace-cached / pooled) is run `--laps` times
@@ -53,21 +53,11 @@
 //! / panicked, summed over every pooled lap). On a healthy build every
 //! outcome is `ok`; a panicked job fails the run outright.
 //!
-//! Two chunked passes exercise the chunk-granular work-stealing scheduler:
-//! the same matrix split into `--chunk-refs`-sized chunks (default 2048)
-//! scheduled across Chase–Lev deques, once generating streams live and
-//! once replaying them from the persistent store through a fresh handle.
-//! Both join the determinism cross-check — chunk boundaries and steal
-//! order must not move a byte of any report — and their walls land in a
-//! NEW top-level `"chunked"` object; every pre-existing field keeps its
-//! name and meaning.
-//!
 //! A consolidation pass runs the multi-tenant QoS workload at the
-//! smallest ladder rung (100 VMs, default churn) serially and
-//! chunk-scheduled, hard-failing on any report divergence or an empty
-//! per-tenant accounting section; its walls and QoS digest land in a NEW
-//! top-level `"consolidation"` object — every pre-existing field keeps
-//! its name and meaning.
+//! smallest ladder rung (100 VMs, default churn) serially and on the
+//! pool over a shared recorded stream, hard-failing on any report
+//! divergence or an empty per-tenant accounting section; its walls and
+//! QoS digest land in a top-level `"consolidation"` object.
 //!
 //! A concurrent-serve pass measures the daemon's closed-loop throughput:
 //! eight clients on per-connection handles over one shared warm core,
@@ -101,9 +91,9 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use pom_tlb::{
-    default_jobs, run_jobs, run_jobs_chunked, run_jobs_with, share_traces,
-    share_traces_with_store, simulations_run, JobResult, RunPolicy, Scheme, ShareOutcome,
-    SimConfig, SimJob, StorageBytes,
+    default_jobs, run_jobs, run_jobs_with, share_traces, share_traces_with_store,
+    simulations_run, JobResult, RunPolicy, Scheme, ShareOutcome, SimConfig, SimJob,
+    StorageBytes,
 };
 use pomtlb_serve::{ServeConfig, Service};
 use pomtlb_trace::TraceStore;
@@ -322,7 +312,6 @@ fn main() -> ExitCode {
     let mut warmup = 4_000u64;
     let mut laps = 3u32;
     let mut trace_store_dir: Option<String> = None;
-    let mut chunk_refs_n = 2_048u64;
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -349,16 +338,13 @@ fn main() -> ExitCode {
             "--trace-store" => {
                 value("--trace-store").map(|v| trace_store_dir = Some(v.clone()))
             }
-            "--chunk-refs" => value("--chunk-refs").and_then(|v| {
-                v.parse().map(|n| chunk_refs_n = n).map_err(|_| format!("bad --chunk-refs `{v}`"))
-            }),
             other => Err(format!("unknown flag `{other}`")),
         };
         if let Err(e) = r {
             eprintln!("{e}");
             eprintln!(
                 "usage: perf_track [--out PATH] [--jobs N|auto] [--refs N] [--warmup N] \
-                 [--laps N] [--trace-store DIR] [--chunk-refs N]"
+                 [--laps N] [--trace-store DIR]"
             );
             return ExitCode::FAILURE;
         }
@@ -410,13 +396,6 @@ fn main() -> ExitCode {
     let outcome = |s: &str| job_outcomes.get(s).copied().unwrap_or(0);
     let panicked_jobs = outcome("panicked");
 
-    // Chunk-granular pass: the same matrix split into fixed-size chunks and
-    // scheduled across the pool's Chase–Lev deques. Smaller units mean
-    // stealing balances the load wherever job walls are uneven, and the
-    // cumulative-carry chunk chain must reproduce serial bytes exactly.
-    let (chunked_wall, chunked) =
-        best_of(laps, || run_jobs_chunked(batch(refs, warmup), jobs_n, chunk_refs_n));
-
     // Persistent-store passes. The record pass runs once (its wall time
     // includes recording overhead, which only happens once per store
     // lifetime); the replay pass is best-of-laps like the others, through a
@@ -456,30 +435,18 @@ fn main() -> ExitCode {
         replay = share_traces_with_store(&mut jobs, Some(&store));
         run_jobs(jobs, 1)
     });
-    // Chunked replay through the same on-disk store: replayable streams are
-    // exactly the ones that can snapshot mid-stream, so this pass is the
-    // scheduler's production configuration (chunks + pre-chunk checkpoints
-    // available) crossing the invocation boundary via the files.
-    let mut chunked_replay = ShareOutcome::default();
-    let (chunked_replay_wall, chunked_replayed) = best_of(laps, || {
-        let mut jobs = batch(refs, warmup);
-        chunked_replay = share_traces_with_store(&mut jobs, Some(&store));
-        run_jobs_chunked(jobs, jobs_n, chunk_refs_n)
-    });
     drop(store);
     if ephemeral {
         let _ = std::fs::remove_dir_all(&store_dir);
     }
     let replay_all_hits = replay.store_misses == 0 && replay.store_hits == replay.attached;
-    let chunked_replay_all_hits =
-        chunked_replay.store_misses == 0 && chunked_replay.store_hits == chunked_replay.attached;
 
     // Consolidation pass: the multi-tenant QoS workload at the smallest
     // ladder rung — 100 VMs with default lifecycle churn — run serially
-    // and chunk-scheduled over a shared recorded stream. Tracks the cost
-    // of tenant attribution and churn handling commit over commit, and
-    // hard-fails if the chunked schedule moves a byte of any report or
-    // the QoS section comes back empty.
+    // and on the pool over a shared recorded stream. Tracks the cost of
+    // tenant attribution and churn handling commit over commit, and
+    // hard-fails if the pooled replay moves a byte of any report or the
+    // QoS section comes back empty.
     const CONS_VMS: u32 = 100;
     let cons_batch = || -> Vec<SimJob> {
         let sim = SimConfig { refs_per_core: refs, warmup_per_core: warmup, seed: 0x90af };
@@ -494,12 +461,12 @@ fn main() -> ExitCode {
             .collect()
     };
     let (cons_wall, cons_serial) = best_of(laps, || run_jobs(cons_batch(), 1));
-    let (cons_chunked_wall, cons_chunked) = best_of(laps, || {
+    let (cons_pooled_wall, cons_pooled) = best_of(laps, || {
         let mut jobs = cons_batch();
         share_traces(&mut jobs);
-        run_jobs_chunked(jobs, jobs_n, chunk_refs_n)
+        run_jobs(jobs, jobs_n)
     });
-    let cons_deterministic = same_reports(&cons_serial, &cons_chunked);
+    let cons_deterministic = same_reports(&cons_serial, &cons_pooled);
     let cons_tenancy = cons_serial
         .iter()
         .find(|r| r.label.ends_with("/pom_tlb"))
@@ -815,9 +782,7 @@ fn main() -> ExitCode {
     let deterministic = same_reports(&serial, &parallel)
         && same_reports(&serial, &cached)
         && same_reports(&serial, &recorded_results)
-        && same_reports(&serial, &replayed_results)
-        && same_reports(&serial, &chunked)
-        && same_reports(&serial, &chunked_replayed);
+        && same_reports(&serial, &replayed_results);
 
     let total_refs: u64 = serial.iter().map(|r| r.report.refs).sum();
     let serial_secs = serial_wall.as_secs_f64();
@@ -927,35 +892,16 @@ fn main() -> ExitCode {
     // to the serial run measure scheduling overhead and host noise only.
     let pool_ratio =
         |num: f64, den: f64| (jobs_n > 1 && den > 0.0).then(|| num / den);
-    let chunked_secs = chunked_wall.as_secs_f64();
-    let chunked_replay_secs = chunked_replay_wall.as_secs_f64();
-    j.push_str("  \"chunked\": {\n");
-    let _ = writeln!(j, "    \"chunk_refs\": {chunk_refs_n},");
-    let _ = writeln!(j, "    \"pooled_wall_ms\": {},", jnum(chunked_secs * 1e3));
-    let _ = writeln!(j, "    \"speedup_vs_serial\": {},", jopt(pool_ratio(serial_secs, chunked_secs)));
-    let _ = writeln!(
-        j,
-        "    \"speedup_vs_whole_job_pool\": {},",
-        jopt(pool_ratio(parallel_secs, chunked_secs))
-    );
-    let _ = writeln!(j, "    \"replay_wall_ms\": {},", jnum(chunked_replay_secs * 1e3));
-    let _ = writeln!(
-        j,
-        "    \"replay_speedup_vs_serial\": {},",
-        jopt(pool_ratio(serial_secs, chunked_replay_secs))
-    );
-    let _ = writeln!(j, "    \"replay_all_hits\": {chunked_replay_all_hits}");
-    j.push_str("  },\n");
     let cons_secs = cons_wall.as_secs_f64();
-    let cons_chunked_secs = cons_chunked_wall.as_secs_f64();
+    let cons_pooled_secs = cons_pooled_wall.as_secs_f64();
     j.push_str("  \"consolidation\": {\n");
     let _ = writeln!(j, "    \"vms\": {CONS_VMS},");
     let _ = writeln!(j, "    \"serial_wall_ms\": {},", jnum(cons_secs * 1e3));
-    let _ = writeln!(j, "    \"chunked_wall_ms\": {},", jnum(cons_chunked_secs * 1e3));
+    let _ = writeln!(j, "    \"pooled_wall_ms\": {},", jnum(cons_pooled_secs * 1e3));
     let _ = writeln!(
         j,
-        "    \"chunked_speedup_vs_serial\": {},",
-        jopt(pool_ratio(cons_secs, cons_chunked_secs))
+        "    \"pooled_speedup_vs_serial\": {},",
+        jopt(pool_ratio(cons_secs, cons_pooled_secs))
     );
     let _ = writeln!(j, "    \"measured_tenants\": {},", cons_tenancy.measured_tenants);
     let _ = writeln!(j, "    \"dispersion\": {},", jnum(cons_tenancy.dispersion));
@@ -1024,8 +970,8 @@ fn main() -> ExitCode {
     let times = |v: Option<f64>| v.map_or_else(|| "n/a".to_string(), |v| format!("{v:.2}x"));
     eprintln!(
         "perf_track: serial {:.0} ms, trace-cache {:.0} ms, pooled {:.0} ms on {} workers \
-         -> {} pool / {:.2}x cache; chunked ({} refs/chunk) {:.0} ms -> {}; store \
-         replay {:.0} ms ({} hit(s), {} byte(s) mapped); serve cold {cold_ms:.0} ms vs \
+         -> {} pool / {:.2}x cache; store replay {:.0} ms ({} hit(s), {} byte(s) \
+         mapped); serve cold {cold_ms:.0} ms vs \
          memoized {memoized_ms:.0} ms; {CONC_CLIENTS} concurrent clients {conc_ms:.0} ms vs \
          sequential {seq_ms:.0} ms -> {throughput_x:.2}x; tcp {tcp_ms:.0} ms vs unix \
          {unix_ms:.0} ms -> {tcp_vs_unix_x:.2}x; wrote {}",
@@ -1035,9 +981,6 @@ fn main() -> ExitCode {
         jobs_n,
         times(pool_ratio(serial_secs, parallel_secs)),
         if cache_secs > 0.0 { serial_secs / cache_secs } else { 0.0 },
-        chunk_refs_n,
-        chunked_secs * 1e3,
-        times(pool_ratio(serial_secs, chunked_secs)),
         replay_secs * 1e3,
         replay.store_hits,
         replay.bytes_mapped,
@@ -1053,16 +996,16 @@ fn main() -> ExitCode {
     }
     if !deterministic {
         eprintln!(
-            "perf_track: FAIL — pooled, trace-cached, store-replayed or chunked reports \
-             differ from serial reports"
+            "perf_track: FAIL — pooled, trace-cached or store-replayed reports differ from \
+             serial reports"
         );
         return ExitCode::FAILURE;
     }
-    if !replay_all_hits || !chunked_replay_all_hits {
+    if !replay_all_hits {
         eprintln!(
-            "perf_track: FAIL — a store replay pass missed (whole-job {}/{} hit(s), chunked \
-             {}/{} hit(s)); a just-recorded store must serve every stream from disk",
-            replay.store_hits, replay.attached, chunked_replay.store_hits, chunked_replay.attached
+            "perf_track: FAIL — the store replay pass missed ({}/{} hit(s)); a just-recorded \
+             store must serve every stream from disk",
+            replay.store_hits, replay.attached
         );
         return ExitCode::FAILURE;
     }

@@ -64,9 +64,8 @@
 use std::process::ExitCode;
 
 use pom_tlb::{
-    consolidation_ladder, run_jobs, run_jobs_chunked, share_traces, share_traces_with_store,
-    FaultConfig, FaultStats, PomTlbConfig, Scheme, ShootdownStats, SimConfig, SimJob, SimReport,
-    SystemConfig,
+    consolidation_ladder, run_jobs, share_traces, share_traces_with_store, FaultConfig,
+    FaultStats, PomTlbConfig, Scheme, ShootdownStats, SimConfig, SimJob, SimReport, SystemConfig,
 };
 use pomtlb_serve::{
     check_envelope, fault_sweep_default_events, parse_scheme, ReportStore, ServeConfig, Service,
@@ -125,7 +124,6 @@ struct Options {
     check_consistency: bool,
     json: bool,
     jobs: usize,
-    chunk_refs: u64,
     trace_cache: bool,
     trace_cache_dir: Option<String>,
     fault_seed: u64,
@@ -153,7 +151,6 @@ impl Default for Options {
             check_consistency: false,
             json: false,
             jobs: 1,
-            chunk_refs: 0,
             trace_cache: false,
             trace_cache_dir: None,
             fault_seed: 0x5eed,
@@ -221,7 +218,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
                     num(&v)? as usize
                 };
             }
-            "--chunk-refs" => o.chunk_refs = num(&value("--chunk-refs")?)?,
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
@@ -286,7 +282,7 @@ fn run_command(args: &[String], kind: CommandKind) -> ExitCode {
                 };
                 share_traces_with_store(&mut jobs, store.as_ref());
             }
-            let reports: Vec<SimReport> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+            let reports: Vec<SimReport> = run_jobs(jobs, opts.jobs)
                 .into_iter()
                 .map(|r| r.report)
                 .collect();
@@ -386,7 +382,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
         };
         share_traces_with_store(&mut jobs, store.as_ref());
     }
-    let rows: Vec<SweepRow> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+    let rows: Vec<SweepRow> = run_jobs(jobs, opts.jobs)
         .into_iter()
         .zip(rates)
         .map(|(res, rate)| {
@@ -504,30 +500,24 @@ fn consolidation_jobs(rungs: &[u32], churn: Option<(f64, f64)>, o: &Options) -> 
 }
 
 /// `--assert-determinism`: the same batch must fingerprint byte-identically
-/// when run serially, on a worker pool, and chunk-scheduled over a shared
-/// recorded trace. Returns false (after naming the divergent job) if any
-/// scheduler disagrees with the serial reference.
+/// when run serially and on a worker pool over a shared recorded trace.
+/// Returns false (after naming the divergent job) if the pooled replay
+/// disagrees with the serial reference.
 fn consolidation_is_deterministic(
     rungs: &[u32],
     churn: Option<(f64, f64)>,
     opts: &Options,
 ) -> bool {
-    let pool = opts.jobs.max(2);
-    let chunk = if opts.chunk_refs > 0 { opts.chunk_refs } else { (opts.refs / 4).max(1) };
     let serial = run_jobs(consolidation_jobs(rungs, churn, opts).0, 1);
-    let pooled = run_jobs(consolidation_jobs(rungs, churn, opts).0, pool);
-    let mut chunked_jobs = consolidation_jobs(rungs, churn, opts).0;
-    share_traces(&mut chunked_jobs);
-    let chunked = run_jobs_chunked(chunked_jobs, pool, chunk);
+    let mut replay_jobs = consolidation_jobs(rungs, churn, opts).0;
+    share_traces(&mut replay_jobs);
+    let pooled = run_jobs(replay_jobs, opts.jobs.max(2));
     let mut ok = true;
-    for ((a, b), c) in serial.iter().zip(&pooled).zip(&chunked) {
-        let reference = serde_json::to_string(&a.report).unwrap_or_default();
-        if serde_json::to_string(&b.report).unwrap_or_default() != reference {
-            eprintln!("consolidation-sweep: {}: serial vs pooled reports diverged", a.label);
-            ok = false;
-        }
-        if serde_json::to_string(&c.report).unwrap_or_default() != reference {
-            eprintln!("consolidation-sweep: {}: serial vs chunked-replay reports diverged", a.label);
+    for (a, b) in serial.iter().zip(&pooled) {
+        if serde_json::to_string(&a.report).unwrap_or_default()
+            != serde_json::to_string(&b.report).unwrap_or_default()
+        {
+            eprintln!("consolidation-sweep: {}: serial vs pooled-replay reports diverged", a.label);
             ok = false;
         }
     }
@@ -571,7 +561,7 @@ fn run_consolidation_sweep(args: &[String]) -> ExitCode {
         };
         share_traces_with_store(&mut jobs, store.as_ref());
     }
-    let rows: Vec<ConsolidationRow> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+    let rows: Vec<ConsolidationRow> = run_jobs(jobs, opts.jobs)
         .into_iter()
         .zip(vms_of)
         .map(|(res, vms)| ConsolidationRow::from_report(vms, &res.report))
@@ -723,7 +713,7 @@ fn run_fault_sweep(args: &[String]) -> ExitCode {
         };
         share_traces_with_store(&mut jobs, store.as_ref());
     }
-    let rows: Vec<FaultRow> = run_jobs_chunked(jobs, opts.jobs, opts.chunk_refs)
+    let rows: Vec<FaultRow> = run_jobs(jobs, opts.jobs)
         .into_iter()
         .zip(detect)
         .map(|(res, consistency)| {
@@ -1552,19 +1542,16 @@ FLAGS:
                     population, no teardowns or fork storms
   --assert-determinism    consolidation-sweep exits nonzero unless the
                           batch fingerprints byte-identically when run
-                          serially, pooled and chunk-scheduled (for CI)
+                          serially and pooled over a shared recorded
+                          trace (for CI)
   --fault-seed N    RNG seed for fault-sweep's injection plan
                     (default 0x5eed)
   --assert-detection      fault-sweep exits nonzero unless consistency-on
                           rows show zero escapes and POM-TLB detects
                           injected faults (for CI)
-  --jobs N          worker threads for batched commands (compare,
-                    shootdown-sweep); `auto` = all cores. Output is
+  --jobs N          worker threads for batched commands (compare and
+                    the three sweeps); `auto` = all cores. Output is
                     byte-identical to --jobs 1 (default)
-  --chunk-refs N    split each batched job into N-reference chunks
-                    scheduled by work stealing across --jobs workers
-                    (0 = whole-job scheduling, default). Any chunk size
-                    produces byte-identical output
   --trace-cache     batched commands record each input stream once and
                     replay it to every scheme instead of regenerating it
                     per run. Output is byte-identical either way
@@ -1630,15 +1617,6 @@ mod tests {
         assert_eq!(parse(&["-j".into(), "2".into()]).unwrap().jobs, 2);
         assert!(parse(&["--jobs".into(), "auto".into()]).unwrap().jobs >= 1);
         assert!(parse(&["--jobs".into(), "x".into()]).is_err());
-    }
-
-    #[test]
-    fn parse_chunk_refs() {
-        assert_eq!(parse(&[]).unwrap().chunk_refs, 0);
-        let o = parse(&["--chunk-refs".into(), "5000".into()]).unwrap();
-        assert_eq!(o.chunk_refs, 5000);
-        assert!(parse(&["--chunk-refs".into()]).is_err());
-        assert!(parse(&["--chunk-refs".into(), "many".into()]).is_err());
     }
 
     #[test]
@@ -1898,9 +1876,7 @@ mod tests {
         // reach them, and on gups those rarely find a stale entry to leave.
         let o = Options { cores: 2, refs: 20_000, warmup: 5_000, ..Default::default() };
         let (jobs, detect) = fault_sweep_jobs(&w, &o);
-        // Run through the chunked scheduler: fault injection must behave
-        // identically whether a job runs whole or as stolen chunks.
-        let rows: Vec<FaultRow> = run_jobs_chunked(jobs, 2, 1_500)
+        let rows: Vec<FaultRow> = run_jobs(jobs, 2)
             .into_iter()
             .zip(detect)
             .map(|(res, consistency)| {

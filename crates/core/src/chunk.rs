@@ -1,61 +1,23 @@
-//! Chunk-granular simulation: resumable runs and the work-stealing
-//! chunked scheduler.
-//!
-//! [`crate::runner`] parallelizes at *job* granularity — fine when a batch
-//! has more jobs than workers, but a 3×4 compare matrix on a 16-way host
-//! leaves workers idle, and one slow cell (a large footprint, a
-//! fault-injected run doing repairs) sets the batch's critical path. This
-//! module splits each job's reference stream into fixed-size **chunks**
-//! and schedules chunks instead:
+//! Resumable simulation: one reference loop, run in as many bounded
+//! steps as the caller likes.
 //!
 //! * [`Simulation::begin`] builds everything [`Simulation::run`] would
-//!   (system, tables, stream) but stops before the reference loop,
-//!   returning a [`ChunkSim`] — the complete mid-stream machine state as
-//!   one owned value. [`ChunkSim::advance`] executes the *identical*
-//!   per-reference loop for a bounded number of references;
-//!   `Simulation::run` itself is now `begin` + one unbounded `advance`,
-//!   so chunked and whole-job execution share one code path by
-//!   construction.
-//! * [`run_jobs_chunked_with`] schedules chunk continuations on one
-//!   Chase–Lev deque per worker ([`crate::deque::StealDeque`]): a worker
-//!   pushes and pops its own continuations at the bottom (the chunk it
-//!   just ran is cache-warm) and steals the *oldest* continuation from a
-//!   sibling when its own deque drains. Stealing moves the whole owned
-//!   [`ChunkSim`] to the thief through a slab slot, so a job migrates
-//!   between workers at chunk boundaries without any shared mutable
-//!   simulator state.
+//!   (system, tables, prepopulation, stream) but stops before the
+//!   reference loop, returning a [`ChunkSim`] — the complete mid-stream
+//!   machine state as one owned value.
+//! * [`ChunkSim::advance`] executes the per-reference loop for a bounded
+//!   number of references; [`ChunkSim::finish`] reads the report off the
+//!   cumulative state.
 //!
-//! # Why chunking cannot change a report
-//!
-//! A job's chunks form a sequential chain — chunk *k+1* starts from the
-//! exact machine state chunk *k* left behind, wherever each chunk ran.
-//! The determinism contract of DESIGN.md §3 therefore survives: the
-//! per-chunk statistics are "merged" in chunk order simply by *being
-//! carried* — counters, cache/TLB contents, DRAM bank clocks and RNG
-//! cursors all live in the [`ChunkSim`] that moves down the chain — and
-//! the final report is read off the cumulative state after the last
-//! chunk, exactly as a whole-job run reads it. Only per-chunk wall times
-//! are merged explicitly (summed in chunk order into
-//! [`JobResult::wall`]). Byte-identical output across serial, pooled
-//! whole-job, and chunked execution is asserted by this module's tests
-//! and the `integration_chunked_scheduler` suite.
-//!
-//! # Fault tolerance
-//!
-//! Each chunk executes under `catch_unwind`. When a chunk panics and the
-//! [`RunPolicy`] grants retries, the scheduler rewinds to a snapshot
-//! taken just before the chunk ([`ChunkSim::snapshot`] — an arena memcpy
-//! of the page tables plus plain clones of the SoA TLB/cache arrays) and
-//! re-executes it; streams that cannot snapshot (live generators hold an
-//! un-clonable heap of generator states) restart the job from its first
-//! chunk instead. Either way the recovery is confined to the one job:
-//! sibling jobs own disjoint `ChunkSim`s and never observe a retry.
+//! `Simulation::run` and every [`crate::runner`] job are `begin` + one
+//! unbounded `advance` + `finish`. Splitting a run into several bounded
+//! advances cannot change its report: counters, cache/TLB contents, DRAM
+//! bank clocks, RNG cursors and the warmup position all live in the
+//! [`ChunkSim`] and carry from one step to the next (this module's tests
+//! check it byte for byte). The repository benchmark drives the three
+//! calls directly, so it can time setup apart from the loop.
 
 use std::collections::HashMap;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 use pomtlb_tlb::{Tsb, VirtTables, WalkMode, MAX_REGIONS};
 use pomtlb_trace::{
@@ -63,21 +25,11 @@ use pomtlb_trace::{
 };
 use pomtlb_types::{AddressSpace, Cycles, ProcessId, VmId};
 
-use crate::deque::StealDeque;
 use crate::pom_tlb::PomTlb;
 use crate::report::SimReport;
-use crate::runner::{
-    lock_clean, panic_text, run_jobs_with, JobOutcome, JobResult, RunPolicy, SimJob,
-};
 use crate::system::{Simulation, System};
 
 /// Where a [`ChunkSim`] draws its merged reference stream from.
-///
-/// Live generators are resumable (they sit right here, paused between
-/// chunks) but not *clonable* — [`Interleaver`] owns generator heaps with
-/// interior cursors that were never built to fork. Replay iterators over
-/// a shared recording clone freely. This split is exactly why
-/// [`ChunkSim::snapshot`] is an `Option`.
 enum StreamSource {
     /// Per-core generators merged on the fly.
     Live(Interleaver<WorkloadStream>),
@@ -107,7 +59,6 @@ impl StreamSource {
 /// accepted approximation (every translation structure and the stale
 /// watchdog key on the full [`AddressSpace`], so correctness is
 /// unaffected; only data-cache contention is modeled as slightly higher).
-#[derive(Clone)]
 struct SpaceTables {
     list: Vec<VirtTables>,
     index: HashMap<AddressSpace, usize>,
@@ -137,8 +88,7 @@ impl SpaceTables {
 /// `Send` value.
 ///
 /// Produced by [`Simulation::begin`]; driven by [`ChunkSim::advance`];
-/// reported by [`ChunkSim::finish`]. The chunked scheduler moves these
-/// between workers; the fork-modeling example snapshots them.
+/// reported by [`ChunkSim::finish`].
 pub struct ChunkSim {
     stream: StreamSource,
     system: System,
@@ -271,7 +221,7 @@ impl ChunkSim {
     /// along the way are handled where they fall but do not count against
     /// `max_refs` (they never consumed ref budget); the warmup boundary
     /// (stat reset + instruction rebase) fires at the same positional
-    /// reference wherever the chunk boundaries land, because `refs_done`
+    /// reference wherever the step boundaries land, because `refs_done`
     /// travels with the state.
     pub fn advance(&mut self, max_refs: u64) -> u64 {
         let target = self.total_refs().min(self.refs_done.saturating_add(max_refs));
@@ -332,16 +282,6 @@ impl ChunkSim {
         self.warm_total + self.main_total
     }
 
-    /// References executed so far.
-    pub fn refs_done(&self) -> u64 {
-        self.refs_done
-    }
-
-    /// References still to run before [`ChunkSim::finish`] is meaningful.
-    pub fn remaining_refs(&self) -> u64 {
-        self.total_refs() - self.refs_done
-    }
-
     /// Whether the whole reference budget has been executed.
     pub fn is_done(&self) -> bool {
         self.refs_done >= self.total_refs()
@@ -358,40 +298,6 @@ impl ChunkSim {
             .map(|(latest, base)| latest - base)
             .sum();
         self.system.report(&self.workload_name, instructions)
-    }
-
-    /// A checkpoint of the whole machine mid-stream: page tables (arena
-    /// copy), SRAM TLBs and caches (flat SoA clones), POM-TLB partitions,
-    /// DRAM bank clocks, fault/RNG cursors, and the replay position.
-    ///
-    /// Returns `None` when the input is a live generator stream
-    /// ([`StreamSource::Live`]) — generator state cannot be forked, which
-    /// is one more reason batches record traces first. The chunked
-    /// scheduler uses this for chunk-level retry; the fork-modeling
-    /// example uses it to clone a VM at a point in time.
-    pub fn snapshot(&self) -> Option<ChunkSim> {
-        let stream = match &self.stream {
-            StreamSource::Live(_) => return None,
-            StreamSource::Replay(it) => StreamSource::Replay(it.clone()),
-        };
-        Some(ChunkSim {
-            stream,
-            system: self.system.clone(),
-            tables: self.tables.clone(),
-            layout: self.layout,
-            workload_name: self.workload_name.clone(),
-            warm_total: self.warm_total,
-            main_total: self.main_total,
-            refs_done: self.refs_done,
-            core_stall: self.core_stall.clone(),
-            icount_latest: self.icount_latest.clone(),
-            icount_base: self.icount_base.clone(),
-        })
-    }
-
-    /// Whether [`ChunkSim::snapshot`] can succeed (replayed streams only).
-    pub fn can_snapshot(&self) -> bool {
-        matches!(self.stream, StreamSource::Replay(_))
     }
 
     /// Bytes of translation-structure storage this job has allocated in
@@ -419,242 +325,15 @@ pub struct StorageBytes {
     pub page_tables: u64,
 }
 
-// ---------------------------------------------------------------------------
-// The chunked work-stealing scheduler.
-
-/// One job's in-flight execution state as it hops between workers.
-#[derive(Default)]
-struct ChunkTask {
-    /// `None` until the first chunk begins the simulation (construction
-    /// is deferred so a 100-job batch doesn't hold 100 live systems), and
-    /// reset to `None` when a panic forces a restart from chunk zero.
-    sim: Option<ChunkSim>,
-    /// Pre-chunk checkpoint for chunk-level retry (replayable streams
-    /// under a retrying policy only).
-    checkpoint: Option<Box<ChunkSim>>,
-    /// Wall time accumulated across this job's chunks, in chunk order.
-    wall: Duration,
-    /// Panicking chunk executions so far.
-    failures: u32,
-}
-
-/// What one chunk execution decided. The outcome is boxed so the enum
-/// stays two words wide on the hot scheduling path.
-enum Step {
-    /// The job completed (successfully or by exhausting retries).
-    Done(Box<JobOutcome>),
-    /// More chunks remain; re-queue the continuation.
-    Continue,
-}
-
-/// Runs one chunk of `task` under panic isolation, honouring `policy`.
-fn step_chunk(
-    task: &mut ChunkTask,
-    job: &SimJob,
-    chunk_refs: u64,
-    policy: &RunPolicy,
-    want_checkpoint: bool,
-) -> Step {
-    if want_checkpoint {
-        task.checkpoint = task.sim.as_ref().and_then(ChunkSim::snapshot).map(Box::new);
-    }
-    let start = Instant::now();
-    let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        // Sabotage fires per chunk *execution*, mirroring its per-attempt
-        // semantics in `run_one`: "panic N times" means the first N chunk
-        // executions, wherever they run.
-        if let Some(sabotage) = &job.sabotage {
-            sabotage.trip();
-        }
-        let sim = task.sim.get_or_insert_with(|| job.to_simulation().begin());
-        sim.advance(chunk_refs);
-        if sim.is_done() {
-            Some((sim.finish(), sim.storage_bytes()))
-        } else {
-            None
-        }
-    }));
-    task.wall += start.elapsed();
-    match caught {
-        Ok(Some((report, storage))) => {
-            let result = JobResult { label: job.label.clone(), report, wall: task.wall, storage };
-            Step::Done(Box::new(match policy.soft_timeout {
-                Some(limit) if task.wall > limit => JobOutcome::TimedOut { result, limit },
-                _ if task.failures > 0 => {
-                    JobOutcome::Retried { result, retries: task.failures }
-                }
-                _ => JobOutcome::Ok(result),
-            }))
-        }
-        Ok(None) => Step::Continue,
-        Err(payload) => {
-            task.failures += 1;
-            if task.failures > policy.max_retries {
-                return Step::Done(Box::new(JobOutcome::Panicked {
-                    label: job.label.clone(),
-                    message: panic_text(payload.as_ref()),
-                    attempts: task.failures,
-                }));
-            }
-            // Recover at the finest grain available: rewind to the
-            // pre-chunk checkpoint when one exists, otherwise restart the
-            // job from its first chunk. Either way only *this* job's
-            // state is touched — siblings own disjoint ChunkSims.
-            task.sim = task.checkpoint.take().map(|boxed| *boxed);
-            Step::Continue
-        }
-    }
-}
-
-/// Runs `jobs` chunk by chunk on up to `n_workers` threads with Chase–Lev
-/// work stealing, returning one [`JobOutcome`] per job in submission
-/// order.
-///
-/// Each job's reference stream is executed in chunks of `chunk_refs`
-/// references; a worker runs its own jobs' next chunks back to back
-/// (bottom of its deque, state still cache-warm) and steals the oldest
-/// continuation from a sibling when idle. `chunk_refs == 0` disables
-/// chunking and delegates to [`run_jobs_with`]. Reports are byte-identical
-/// to serial and whole-job-pooled execution for any `chunk_refs` and any
-/// `n_workers` (see the module docs); panicking chunks are retried per
-/// `policy` from a pre-chunk snapshot when the stream supports it, from
-/// chunk zero otherwise.
-///
-/// `observer` is invoked once per *job* (not per chunk), on the thread
-/// that ran the final chunk, right after the outcome is decided.
-pub fn run_jobs_chunked_with(
-    jobs: Vec<SimJob>,
-    n_workers: usize,
-    chunk_refs: u64,
-    policy: RunPolicy,
-    observer: &(dyn Fn(usize, &JobOutcome) + Sync),
-) -> Vec<JobOutcome> {
-    if chunk_refs == 0 {
-        return run_jobs_with(jobs, n_workers, policy, observer);
-    }
-    let n_workers = n_workers.max(1).min(jobs.len().max(1));
-    let want_checkpoint = policy.max_retries > 0;
-    if n_workers <= 1 {
-        return jobs
-            .iter()
-            .enumerate()
-            .map(|(idx, job)| {
-                let mut task = ChunkTask::default();
-                loop {
-                    if let Step::Done(outcome) =
-                        step_chunk(&mut task, job, chunk_refs, &policy, want_checkpoint)
-                    {
-                        observer(idx, &outcome);
-                        break *outcome;
-                    }
-                }
-            })
-            .collect();
-    }
-
-    let n_jobs = jobs.len();
-    let mut slab: Vec<Mutex<Option<ChunkTask>>> = Vec::with_capacity(n_jobs);
-    slab.resize_with(n_jobs, || Mutex::new(Some(ChunkTask::default())));
-    let mut slots: Vec<Mutex<Option<JobOutcome>>> = Vec::with_capacity(n_jobs);
-    slots.resize_with(n_jobs, || Mutex::new(None));
-    let deques: Vec<StealDeque> = (0..n_workers).map(|_| StealDeque::new(n_jobs)).collect();
-    // Initial distribution: round-robin across workers, before any worker
-    // exists — these are the only pushes not made by a deque's owner.
-    for idx in 0..n_jobs {
-        deques[idx % n_workers].push(idx);
-    }
-    let remaining = AtomicUsize::new(n_jobs);
-
-    std::thread::scope(|scope| {
-        for w in 0..n_workers {
-            let (deques, slab, slots, jobs, remaining, policy) =
-                (&deques, &slab, &slots, &jobs, &remaining, &policy);
-            scope.spawn(move || loop {
-                if remaining.load(Ordering::Acquire) == 0 {
-                    break;
-                }
-                // Own continuations first (LIFO, cache-warm), then scan
-                // the other workers' deques oldest-first.
-                let found = deques[w].pop().or_else(|| {
-                    (1..n_workers).find_map(|d| deques[(w + d) % n_workers].steal())
-                });
-                let Some(idx) = found else {
-                    std::thread::yield_now();
-                    continue;
-                };
-                // The deque routed us the index; the slab hands over the
-                // owned state. Every queued index has its task parked
-                // (tasks are re-parked before re-queuing), so an empty
-                // slot would be a routing bug — skip defensively.
-                let Some(mut task) = lock_clean(&slab[idx]).take() else { continue };
-                match step_chunk(&mut task, &jobs[idx], chunk_refs, policy, want_checkpoint) {
-                    Step::Done(outcome) => {
-                        observer(idx, &outcome);
-                        *lock_clean(&slots[idx]) = Some(*outcome);
-                        remaining.fetch_sub(1, Ordering::Release);
-                    }
-                    Step::Continue => {
-                        *lock_clean(&slab[idx]) = Some(task);
-                        deques[w].push(idx);
-                    }
-                }
-            });
-        }
-    });
-
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(idx, slot)| {
-            let inner = slot.into_inner().unwrap_or_else(|poison| poison.into_inner());
-            inner.unwrap_or_else(|| JobOutcome::Panicked {
-                label: format!("job #{idx}"),
-                message: "worker terminated before storing an outcome".to_string(),
-                attempts: 0,
-            })
-        })
-        .collect()
-}
-
-/// Strict chunked execution: [`run_jobs_chunked_with`] under
-/// [`RunPolicy::strict`], panicking (after the whole batch has been
-/// attempted) if any job failed — the chunked analogue of
-/// [`crate::runner::run_jobs`].
-///
-/// # Panics
-///
-/// Panics with the first failed job's label and message once every
-/// sibling has run to completion.
-pub fn run_jobs_chunked(jobs: Vec<SimJob>, n_workers: usize, chunk_refs: u64) -> Vec<JobResult> {
-    let outcomes =
-        run_jobs_chunked_with(jobs, n_workers, chunk_refs, RunPolicy::strict(), &|_, _| {});
-    let mut results = Vec::with_capacity(outcomes.len());
-    let mut failure: Option<String> = None;
-    for outcome in outcomes {
-        match outcome {
-            JobOutcome::Panicked { label, message, .. } => {
-                if failure.is_none() {
-                    failure = Some(format!("job `{label}` panicked: {message}"));
-                }
-            }
-            other => {
-                if let Some(result) = other.into_result() {
-                    results.push(result);
-                }
-            }
-        }
-    }
-    if let Some(message) = failure {
-        panic!("{message}");
-    }
-    results
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
     use crate::config::{SimConfig, SystemConfig};
-    use crate::runner::{run_jobs, share_traces};
+    use crate::runner::{
+        lock_clean, run_jobs, run_jobs_with, share_traces, JobOutcome, RunPolicy, SimJob,
+    };
     use crate::scheme::Scheme;
     use pomtlb_trace::{LocalityModel, WorkloadSpec};
 
@@ -684,6 +363,13 @@ mod tests {
         serde_json::to_string(report).unwrap_or_else(|_| format!("{report:?}"))
     }
 
+    /// `job` run as `begin` + `step`-bounded advances + `finish`.
+    fn in_steps(job: &SimJob, step: u64) -> String {
+        let mut sim = job.to_simulation().begin();
+        while sim.advance(step) > 0 {}
+        fingerprint(&sim.finish())
+    }
+
     #[test]
     fn run_equals_begin_advance_finish_in_chunks() {
         let job = batch().remove(1);
@@ -702,83 +388,80 @@ mod tests {
         assert_eq!(fingerprint(&whole), fingerprint(&chunked.finish()));
     }
 
+    /// A paused `ChunkSim` is the run's whole mid-stream state: reading a
+    /// report off it mid-stream and handing it to another thread to resume
+    /// must leave the final report bit-identical to an uninterrupted run.
     #[test]
     fn snapshot_resumes_bit_identically_mid_stream() {
         let mut jobs = batch();
         share_traces(&mut jobs);
         let job = jobs.remove(0);
+        let whole = job.to_simulation().run();
         let mut sim = job.to_simulation().begin();
-        sim.advance(1_300);
-        let mut resumed = sim.snapshot().expect("replayed streams snapshot");
-        sim.advance(u64::MAX);
-        resumed.advance(u64::MAX);
-        assert_eq!(fingerprint(&sim.finish()), fingerprint(&resumed.finish()));
-    }
-
-    #[test]
-    fn live_streams_cannot_snapshot_replayed_streams_can() {
-        let live = batch().remove(0).to_simulation().begin();
-        assert!(!live.can_snapshot());
-        assert!(live.snapshot().is_none());
-        let mut jobs = batch();
-        share_traces(&mut jobs);
-        let replayed = jobs.remove(0).to_simulation().begin();
-        assert!(replayed.can_snapshot());
-        assert!(replayed.snapshot().is_some());
+        assert_eq!(sim.advance(1_300), 1_300);
+        // 1,000 warmup references (500 per core), then 300 measured.
+        assert_eq!(sim.finish().refs, 300, "a mid-stream report counts the measured refs so far");
+        let resumed = std::thread::spawn(move || {
+            sim.advance(u64::MAX);
+            sim.finish()
+        })
+        .join()
+        .expect("the resumed run completes");
+        assert_eq!(fingerprint(&whole), fingerprint(&resumed));
     }
 
     #[test]
     fn chunked_stealing_matches_serial_bit_for_bit() {
         let serial = run_jobs(batch(), 1);
-        for (workers, chunk) in [(2, 400), (3, 700), (4, 950)] {
-            let chunked = run_jobs_chunked(batch(), workers, chunk);
-            assert_eq!(serial.len(), chunked.len());
-            for (a, b) in serial.iter().zip(&chunked) {
-                assert_eq!(a.label, b.label);
+        for step in [400, 700, 950] {
+            // Round-robin over the batch, each job's next step on a fresh
+            // thread: every paused job migrates between threads, and its
+            // steps run concurrently with its siblings'.
+            let mut sims: Vec<ChunkSim> =
+                batch().iter().map(|job| job.to_simulation().begin()).collect();
+            while !sims.iter().all(ChunkSim::is_done) {
+                let handles: Vec<_> = sims
+                    .into_iter()
+                    .map(|mut sim| {
+                        std::thread::spawn(move || {
+                            sim.advance(step);
+                            sim
+                        })
+                    })
+                    .collect();
+                sims = handles.into_iter().map(|h| h.join().expect("step completes")).collect();
+            }
+            assert_eq!(serial.len(), sims.len());
+            for (a, sim) in serial.iter().zip(&sims) {
                 assert_eq!(
                     fingerprint(&a.report),
-                    fingerprint(&b.report),
-                    "job {} diverged under {workers} workers / {chunk}-ref chunks",
+                    fingerprint(&sim.finish()),
+                    "job {} diverged under {step}-ref steps",
                     a.label
                 );
             }
         }
     }
 
-    #[test]
-    fn zero_chunk_refs_delegates_to_whole_job_runner() {
-        let whole = run_jobs(batch(), 2);
-        let outcomes =
-            run_jobs_chunked_with(batch(), 2, 0, RunPolicy::strict(), &|_, _| {});
-        for (a, b) in whole.iter().zip(&outcomes) {
-            let b = b.result().expect("all jobs complete");
-            assert_eq!(fingerprint(&a.report), fingerprint(&b.report));
-        }
-    }
-
+    /// Retry is whole-job: a sabotaged job on a shared recording fails
+    /// twice, restarts from `begin` at the start of the replay each time,
+    /// and every slot still equals the clean run taken in bounded steps.
     #[test]
     fn sabotaged_chunk_is_retried_from_snapshot_without_perturbing_output() {
-        let clean = run_jobs(batch(), 1);
+        let clean: Vec<String> = batch().iter().map(|job| in_steps(job, 600)).collect();
         let mut jobs = batch();
         share_traces(&mut jobs);
-        // Two mid-job panics: the retries must rewind to the pre-chunk
-        // checkpoint and end up byte-identical to the clean run.
         jobs[2] = jobs[2].clone().sabotage_panics("chunk glitch", 2);
         let policy = RunPolicy { max_retries: 3, ..RunPolicy::strict() };
-        let outcomes = run_jobs_chunked_with(jobs, 2, 600, policy, &|_, _| {});
-        let JobOutcome::Retried { result, retries } = &outcomes[2] else {
+        let outcomes = run_jobs_with(jobs, 2, policy, &|_, _| {});
+        let JobOutcome::Retried { retries, .. } = &outcomes[2] else {
             panic!("slot 2 must be Retried, got {}", outcomes[2].status());
         };
         assert_eq!(*retries, 2);
         for (idx, (a, b)) in clean.iter().zip(&outcomes).enumerate() {
             let b = b.result().expect("all jobs complete");
-            assert_eq!(
-                fingerprint(&a.report),
-                fingerprint(&b.report),
-                "slot {idx} diverged under sabotage-driven chunk retries"
-            );
+            assert_eq!(a, &fingerprint(&b.report), "slot {idx} diverged under sabotage retries");
         }
-        let _ = result;
     }
 
     #[test]
@@ -786,23 +469,34 @@ mod tests {
         let mut jobs = batch();
         jobs[1] = jobs[1].clone().sabotage_panics("always down", u32::MAX);
         let policy = RunPolicy { max_retries: 1, ..RunPolicy::strict() };
-        let outcomes = run_jobs_chunked_with(jobs, 2, 500, policy, &|_, _| {});
+        let outcomes = run_jobs_with(jobs, 2, policy, &|_, _| {});
         let JobOutcome::Panicked { attempts, message, .. } = &outcomes[1] else {
             panic!("must exhaust retries, got {}", outcomes[1].status());
         };
         assert_eq!(*attempts, 2, "initial attempt + 1 retry");
         assert!(message.contains("always down"));
-        assert!(outcomes.iter().enumerate().all(|(i, o)| i == 1 || o.completed()));
+        // The failing sibling costs the others nothing: each still reports
+        // what its own bounded-step run reports.
+        for (idx, (job, outcome)) in batch().iter().zip(&outcomes).enumerate() {
+            if idx != 1 {
+                let result = outcome.result().expect("siblings complete");
+                assert_eq!(in_steps(job, 500), fingerprint(&result.report), "slot {idx}");
+            }
+        }
     }
 
     #[test]
     fn observer_fires_once_per_job() {
-        let seen = Mutex::new(vec![0u32; 4]);
-        let outcomes = run_jobs_chunked_with(batch(), 3, 800, RunPolicy::strict(), &|idx, o| {
-            lock_clean(&seen)[idx] += 1;
-            let _ = o.label();
+        let seen: Mutex<Vec<Vec<String>>> = Mutex::new(vec![Vec::new(); 4]);
+        let outcomes = run_jobs_with(batch(), 3, RunPolicy::strict(), &|idx, o| {
+            let report = o.result().expect("every job completes");
+            lock_clean(&seen)[idx].push(fingerprint(&report.report));
         });
         assert_eq!(outcomes.len(), 4);
-        assert_eq!(*lock_clean(&seen), vec![1, 1, 1, 1]);
+        let seen = seen.into_inner().unwrap();
+        for (idx, (job, reports)) in batch().iter().zip(&seen).enumerate() {
+            // Once each, with the report the job's bounded-step run gives.
+            assert_eq!(reports, &vec![in_steps(job, 800)], "slot {idx}");
+        }
     }
 }

@@ -59,7 +59,6 @@
 pub mod admission;
 pub mod chunk;
 pub mod config;
-pub mod deque;
 pub mod entry;
 pub mod fault;
 pub mod mmu;
@@ -76,9 +75,8 @@ pub mod tenancy;
 pub mod translator;
 
 pub use admission::{AdmissionControl, AdmissionCounters, AdmissionPermit, Busy};
-pub use chunk::{run_jobs_chunked, run_jobs_chunked_with, ChunkSim, StorageBytes};
+pub use chunk::{ChunkSim, StorageBytes};
 pub use config::{PomTlbConfig, SimConfig, SystemConfig};
-pub use deque::StealDeque;
 pub use entry::PomEntry;
 pub use fault::{FaultConfig, FaultKind, FaultPlan, FaultStats};
 pub use mmu::{CoreMmu, MmuHit};

@@ -24,7 +24,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-use pomtlb_trace::{SharedTrace, TraceKey, TraceStore, WorkloadSpec};
+use pomtlb_trace::{AddressLayout, SharedTrace, TraceKey, TraceStore, WorkloadSpec};
 
 use crate::chunk::StorageBytes;
 use crate::config::{SimConfig, SystemConfig};
@@ -148,6 +148,21 @@ impl SimJob {
         (self.sim.warmup_per_core + self.sim.refs_per_core) * self.sys.n_cores as u64
     }
 
+    /// How long this job should run, in the pool's start order's units:
+    /// its reference budget plus one unit per page prepopulated into a
+    /// POM-TLB or TSB (the in-DRAM fills that make those jobs' setup
+    /// several times the others').
+    fn expected_work(&self) -> u64 {
+        let fills_dram_structure = matches!(self.scheme, Scheme::PomTlb { .. } | Scheme::Tsb);
+        let prepopulated = if self.prepopulate && fills_dram_structure {
+            let spaces = if self.shared_memory { 1 } else { self.sys.n_cores as u64 };
+            AddressLayout::of_spec(&self.spec).total_pages().saturating_mul(spaces)
+        } else {
+            0
+        };
+        self.total_refs().saturating_add(prepopulated)
+    }
+
     /// Executes the simulation synchronously on the calling thread.
     ///
     /// # Panics
@@ -169,10 +184,10 @@ impl SimJob {
         (sim.finish(), sim.storage_bytes())
     }
 
-    /// Builds the [`Simulation`] this job describes, without running it.
-    /// The chunked scheduler uses this to [`Simulation::begin`] a
-    /// resumable run; sabotage is *not* tripped here (it belongs to the
-    /// execution attempt, not to construction).
+    /// Builds the [`Simulation`] this job describes, without running it,
+    /// so a caller can [`Simulation::begin`] a resumable run; sabotage is
+    /// *not* tripped here (it belongs to the execution attempt, not to
+    /// construction).
     pub fn to_simulation(&self) -> Simulation {
         let mut sim = Simulation::new(&self.spec, self.scheme, self.sim)
             .shared_memory(self.shared_memory)
@@ -516,12 +531,24 @@ pub(crate) fn lock_clean<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poison| poison.into_inner())
 }
 
+/// The order [`run_jobs_with`]'s pool starts `jobs` in: descending
+/// expected work, ties in submission order (the sort is stable). Starting
+/// the longest job first keeps a batch whose slowest job was submitted
+/// last — `compare` submits the TSB last — from leaving a worker idle at
+/// its tail.
+fn start_order(jobs: &[SimJob]) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    order.sort_by_key(|&idx| std::cmp::Reverse(jobs[idx].expected_work()));
+    order
+}
+
 /// Runs `jobs` on up to `n_workers` OS threads with panic isolation and
 /// returns one [`JobOutcome`] per job in submission order.
 ///
-/// `n_workers <= 1` runs everything serially on the calling thread (no
-/// pool is spawned); larger values use a scoped pool pulling from a shared
-/// work queue. A job that panics is retried per `policy` and, if it keeps
+/// `n_workers <= 1` runs everything serially on the calling thread, in
+/// submission order (no pool is spawned); larger values use a scoped pool
+/// whose workers claim jobs from one shared queue, longest expected job
+/// first. A job that panics is retried per `policy` and, if it keeps
 /// panicking, reported as [`JobOutcome::Panicked`] — its siblings run to
 /// completion regardless. Because every job is self-contained and seeds
 /// its own RNG, completed reports — and anything rendered from them in
@@ -552,17 +579,18 @@ pub fn run_jobs_with(
             .collect();
     }
 
+    let order = start_order(&jobs);
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Mutex<Option<JobOutcome>>> = Vec::with_capacity(jobs.len());
     slots.resize_with(jobs.len(), || Mutex::new(None));
     std::thread::scope(|scope| {
         for _ in 0..n_workers {
-            scope.spawn(|| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(job) = jobs.get(idx) else { break };
-                let outcome = run_one(job, &policy, deadline_at);
-                observer(idx, &outcome);
-                *lock_clean(&slots[idx]) = Some(outcome);
+            scope.spawn(|| {
+                while let Some(&idx) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
+                    let outcome = run_one(&jobs[idx], &policy, deadline_at);
+                    observer(idx, &outcome);
+                    *lock_clean(&slots[idx]) = Some(outcome);
+                }
             });
         }
     });
@@ -651,6 +679,29 @@ mod tests {
     }
 
     #[test]
+    fn pool_starts_the_prepopulated_dram_structures_first() {
+        // `batch()` is compare-shaped: Baseline, POM-TLB, Shared_L2, TSB.
+        assert_eq!(start_order(&batch()), vec![1, 3, 0, 2]);
+    }
+
+    #[test]
+    fn equal_expected_work_keeps_submission_order() {
+        let mut jobs = batch();
+        jobs.extend(batch());
+        assert_eq!(start_order(&jobs), vec![1, 3, 5, 7, 0, 2, 4, 6]);
+        // A larger budget outranks prepopulation of this small footprint.
+        jobs[6].sim.refs_per_core *= 10;
+        assert_eq!(start_order(&jobs), vec![6, 1, 3, 5, 7, 0, 2, 4]);
+    }
+
+    #[test]
+    fn without_prepopulation_the_pool_starts_in_submission_order() {
+        let jobs: Vec<SimJob> =
+            batch().into_iter().map(|j| SimJob { prepopulate: false, ..j }).collect();
+        assert_eq!(start_order(&jobs), vec![0, 1, 2, 3]);
+    }
+
+    #[test]
     fn results_keep_submission_order() {
         let labels: Vec<String> = run_jobs(batch(), 4).into_iter().map(|r| r.label).collect();
         let expected: Vec<String> = batch().into_iter().map(|j| j.label).collect();
@@ -661,8 +712,7 @@ mod tests {
     fn each_scheme_stores_only_its_own_structure() {
         // 1 Mi POM-TLB entries or 1 Mi TSB slots at 16 bytes each; the
         // Baseline and Shared_L2 machines have no in-DRAM structure.
-        let chunked = crate::run_jobs_chunked(batch(), 1, 700);
-        for (r, chunked) in run_jobs(batch(), 1).into_iter().zip(chunked) {
+        for r in run_jobs(batch(), 1) {
             let (pom_tlb, tsb) = match r.report.scheme {
                 Scheme::PomTlb { .. } => (16 << 20, 0),
                 Scheme::Tsb => (0, 16 << 20),
@@ -671,7 +721,6 @@ mod tests {
             assert_eq!(r.storage.pom_tlb, pom_tlb, "{}", r.label);
             assert_eq!(r.storage.tsb, tsb, "{}", r.label);
             assert!(r.storage.page_tables > 0, "{}", r.label);
-            assert_eq!(chunked.storage, r.storage, "{}: chunking moved the storage", r.label);
         }
     }
 

@@ -57,12 +57,6 @@ struct Counters {
 ///
 /// Most users drive this through [`Simulation`]; direct access is for
 /// custom experiments (see the `custom_workload` example).
-///
-/// `Clone` is the system-state snapshot primitive: every component is a
-/// plain owned value (the SoA TLB/cache arrays clone as flat memcpys), so
-/// a clone is a consistent mid-stream checkpoint the chunked scheduler's
-/// chunk-level retry restores from.
-#[derive(Clone)]
 pub struct System {
     config: SystemConfig,
     scheme: Scheme,
@@ -878,9 +872,7 @@ impl Simulation {
     ///
     /// Equivalent to [`Simulation::begin`] followed by advancing the
     /// resulting [`crate::chunk::ChunkSim`] through the whole reference
-    /// budget in one chunk — the chunked scheduler and this method execute
-    /// the identical per-reference loop, which is why chunking cannot
-    /// perturb a report.
+    /// budget in one step.
     pub fn run(self) -> SimReport {
         let mut chunk = self.begin();
         chunk.advance(u64::MAX);
@@ -947,37 +939,6 @@ mod tests {
         // touched several times per page — the POM-TLB needs one touch per
         // page to capture a translation.
         SimConfig { refs_per_core: 30_000, warmup_per_core: 30_000, seed: 11 }
-    }
-
-    #[test]
-    fn cloned_system_is_an_independent_machine_snapshot() {
-        // `System: Clone` is the whole-machine snapshot primitive behind
-        // chunk-level retry: a clone must carry every cached
-        // translation, and divergence (a shootdown storm in the clone)
-        // must leave the original untouched.
-        let space = AddressSpace::new(VmId(0), ProcessId(0));
-        let mut tables = VirtTables::with_region(pomtlb_tlb::WalkMode::Virtualized, 0);
-        let mut system = System::new(tiny_sys(2), Scheme::pom_tlb());
-        let pages: Vec<Gva> = (0..64u64).map(|i| Gva::new(0x4000_0000 + (i << 12))).collect();
-        let mut now = Cycles::ZERO;
-        for page in &pages {
-            let hpa = tables.ensure_mapped(*page, PageSize::Small4K);
-            system.note_mapped(space, *page, PageSize::Small4K, hpa);
-            let _ = system.access(CoreId(0), space, *page, AccessKind::Read, &tables, now);
-            now += Cycles::new(50);
-        }
-        let mut fork = system.clone();
-        for page in &pages {
-            assert!(pom(&fork).contains(space, *page, PageSize::Small4K), "clone carries state");
-            assert!(fork.shootdown(space, *page, PageSize::Small4K) > 0);
-        }
-        for page in &pages {
-            assert!(!pom(&fork).contains(space, *page, PageSize::Small4K));
-            assert!(
-                pom(&system).contains(space, *page, PageSize::Small4K),
-                "original untouched by the clone's shootdown storm"
-            );
-        }
     }
 
     #[test]

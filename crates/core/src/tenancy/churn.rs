@@ -16,9 +16,8 @@ pub struct ChurnCounters {
 
 /// Tracks which VM_IDs are currently torn down, so ID reuse is observable.
 ///
-/// `Clone` is cheap and exact (one bit-vector), which is what lets the
-/// chunked scheduler snapshot/restore lifecycle state with the rest of
-/// [`crate::System`] and keep consolidation runs byte-identical.
+/// The state is one flag per VM_ID, updated deterministically by the
+/// lifecycle events [`crate::System`] applies.
 #[derive(Debug, Clone, Default)]
 pub struct VmLifecycle {
     counters: ChurnCounters,

@@ -19,9 +19,8 @@
 //!   the 10k-VM uniformity test uses);
 //! * [`VmLifecycle`] — destroy/reboot tracking that survives VM_ID reuse.
 //!
-//! All state here is plain owned data (`Clone` = snapshot), so tenant
-//! accounting rides through the chunked scheduler's checkpoint/restore
-//! machinery unchanged and the byte-identical determinism contract holds
+//! All state here is plain owned data that evolves deterministically with
+//! the reference stream, so the byte-identical determinism contract holds
 //! for consolidation runs too.
 
 pub mod churn;

@@ -168,7 +168,8 @@ impl Tsb {
         };
         let h = (key ^ space.vm.as_u64().rotate_left(24) ^ space.process.as_u64().rotate_left(40))
             .wrapping_mul(salt);
-        (h % self.slots.len() as u64) as usize
+        // `h % len`: `Tsb::new` asserts a power-of-two slot count.
+        (h & (self.slots.len() as u64 - 1)) as usize
     }
 
     fn slot_addr(&self, index: usize) -> Hpa {

@@ -71,7 +71,7 @@ pub use file::{write_trace, TraceReader};
 pub use generator::{AddressLayout, TraceGenerator, LARGE_REGION_BASE, SMALL_REGION_BASE};
 pub use interleave::{interleaver_constructions, CoreItem, CoreRef, Interleaver, Timestamped};
 pub use record::MemoryRef;
-pub use shared::{SharedTrace, SharedTraceIter, TraceCursor, TraceKey};
+pub use shared::{SharedTrace, SharedTraceIter, TraceKey};
 pub use spec::{LocalityModel, WorkloadSpec, WorkloadSpecBuilder};
 pub use manifest::GcReport;
 pub use store::{

@@ -262,71 +262,7 @@ impl SharedTrace {
     /// iterator can outlive the caller's borrow — the runner hands clones
     /// of one recording to several scheme runs).
     pub fn replay(self: &Arc<Self>) -> SharedTraceIter {
-        self.replay_from(TraceCursor::START)
-    }
-
-    /// A replay iterator resuming at `cursor` (see
-    /// [`SharedTrace::cursor_at_ref`] and [`SharedTraceIter::cursor`]).
-    pub fn replay_from(self: &Arc<Self>, cursor: TraceCursor) -> SharedTraceIter {
-        SharedTraceIter {
-            trace: Arc::clone(self),
-            item: cursor.item,
-            ref_off: cursor.ref_off,
-            event_idx: cursor.event_idx,
-        }
-    }
-
-    /// The cursor positioned so the next *reference* decoded is the
-    /// `r`-th of the recording (0-based). OS events between references
-    /// belong to the chunk that consumes the reference after them.
-    ///
-    /// This is the chunk-boundary computation of the chunked scheduler:
-    /// chunk `k` of size `C` replays from `cursor_at_ref(k * C)`. Because
-    /// the event list is sparse and position-sorted, the item index is the
-    /// fixed point `item = r + e` where `e` counts events at positions
-    /// before `item` — found by one scan of the (short) event list, never
-    /// by decoding records.
-    pub fn cursor_at_ref(&self, r: u64) -> TraceCursor {
-        let r = r.min(self.refs());
-        let mut e = 0usize;
-        while e < self.events.len() && self.events[e].0 < r + e as u64 {
-            e += 1;
-        }
-        TraceCursor {
-            item: (r + e as u64) as usize,
-            ref_off: r as usize * RECORD_BYTES,
-            event_idx: e,
-        }
-    }
-}
-
-/// A resumable position inside a [`SharedTrace`] replay: the item index
-/// plus the derived record offset and sparse-event index, so resuming is
-/// O(1) with no re-decoding. Obtained from [`SharedTrace::cursor_at_ref`]
-/// (chunk boundaries) or [`SharedTraceIter::cursor`] (wherever an iterator
-/// stopped); consumed by [`SharedTrace::replay_from`].
-///
-/// A cursor is only meaningful for the trace that produced it — positions
-/// index that recording's buffers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceCursor {
-    item: usize,
-    ref_off: usize,
-    event_idx: usize,
-}
-
-impl TraceCursor {
-    /// The beginning of the recording.
-    pub const START: TraceCursor = TraceCursor { item: 0, ref_off: 0, event_idx: 0 };
-
-    /// Memory references consumed before this position.
-    pub fn refs_consumed(&self) -> u64 {
-        (self.ref_off / RECORD_BYTES) as u64
-    }
-
-    /// Items (references + events) consumed before this position.
-    pub fn items_consumed(&self) -> u64 {
-        self.item as u64
+        SharedTraceIter { trace: Arc::clone(self), item: 0, ref_off: 0, event_idx: 0 }
     }
 }
 
@@ -334,26 +270,13 @@ impl TraceCursor {
 /// interleaver would produce.
 ///
 /// Cloning is cheap (an `Arc` bump plus three indices) and yields an
-/// independent iterator at the same position — the chunked scheduler's
-/// snapshot-for-retry path relies on this.
+/// independent iterator at the same position.
 #[derive(Debug, Clone)]
 pub struct SharedTraceIter {
     trace: Arc<SharedTrace>,
     item: usize,
     ref_off: usize,
     event_idx: usize,
-}
-
-impl SharedTraceIter {
-    /// The current position, resumable via [`SharedTrace::replay_from`].
-    pub fn cursor(&self) -> TraceCursor {
-        TraceCursor { item: self.item, ref_off: self.ref_off, event_idx: self.event_idx }
-    }
-
-    /// The recording this iterator replays.
-    pub fn trace(&self) -> &Arc<SharedTrace> {
-        &self.trace
-    }
 }
 
 impl Iterator for SharedTraceIter {
@@ -476,84 +399,6 @@ mod tests {
         assert!(!trace.matches(&s, 1, 2, false, 99), "budget differs");
         let other = spec(OsEventRates::unmap_heavy(1.0));
         assert!(!trace.matches(&other, 1, 2, false, 100), "spec differs");
-    }
-
-    #[test]
-    fn cursor_at_ref_equals_skipping() {
-        // Event-heavy so chunk boundaries land between, on, and after
-        // event positions.
-        let s = spec(OsEventRates {
-            unmaps: 8.0,
-            remaps: 2.0,
-            promotes: 1.0,
-            migrations: 1.0,
-            vm_destroys: 0.2,
-        });
-        let trace = Arc::new(SharedTrace::generate(&s, 11, 2, false, 3000));
-        assert!(trace.events() > 0);
-        let full: Vec<_> = trace.replay().collect();
-        for r in [0u64, 1, 7, 500, 1234, 2999, 3000] {
-            let cur = trace.cursor_at_ref(r);
-            assert_eq!(cur.refs_consumed(), r);
-            let resumed: Vec<_> = trace.replay_from(cur).collect();
-            // The suffix the cursor names: everything from the item index
-            // on. The first ref yielded must be ref number r.
-            assert_eq!(
-                resumed,
-                full[cur.items_consumed() as usize..],
-                "suffix from ref {r}"
-            );
-            let refs_before = full[..cur.items_consumed() as usize]
-                .iter()
-                .filter(|ci| matches!(ci.item, TraceItem::Ref(_)))
-                .count() as u64;
-            assert_eq!(refs_before, r, "exactly {r} refs precede the cursor");
-        }
-    }
-
-    #[test]
-    fn chunked_replay_covers_the_stream_exactly_once() {
-        let s = spec(OsEventRates::unmap_heavy(6.0));
-        let trace = Arc::new(SharedTrace::generate(&s, 5, 3, false, 2500));
-        let full: Vec<_> = trace.replay().collect();
-        // Stitch 400-ref chunks back together via cursors.
-        let mut stitched = Vec::new();
-        let chunk = 400u64;
-        let mut start = 0u64;
-        while start < trace.refs() {
-            let end = (start + chunk).min(trace.refs());
-            let mut it = trace.replay_from(trace.cursor_at_ref(start));
-            let mut got = 0u64;
-            while got < end - start {
-                let ci = it.next().unwrap();
-                if matches!(ci.item, TraceItem::Ref(_)) {
-                    got += 1;
-                }
-                stitched.push(ci);
-            }
-            start = end;
-        }
-        // Trailing events after the last counted ref belong to no chunk —
-        // generation truncates after the final ref, so there are none.
-        assert_eq!(stitched, full);
-    }
-
-    #[test]
-    fn iterator_cursor_round_trips_mid_stream() {
-        let s = spec(OsEventRates::unmap_heavy(4.0));
-        let trace = Arc::new(SharedTrace::generate(&s, 9, 2, true, 800));
-        let mut it = trace.replay();
-        let mut head = Vec::new();
-        for _ in 0..157 {
-            head.push(it.next().unwrap());
-        }
-        let cur = it.cursor();
-        let tail_a: Vec<_> = it.clone().collect();
-        let tail_b: Vec<_> = trace.replay_from(cur).collect();
-        assert_eq!(tail_a, tail_b, "clone and replay_from agree");
-        let full: Vec<_> = trace.replay().collect();
-        head.extend(tail_b);
-        assert_eq!(head, full);
     }
 
     #[test]

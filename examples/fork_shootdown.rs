@@ -12,8 +12,7 @@
 //! The single-`Vec` arena layout of `RadixPageTable` makes the fork itself
 //! one memcpy: [`pomtlb_tlb::VirtTables::snapshot`] captures the tables,
 //! `clone` *is* the child's copy, and [`pomtlb_tlb::VirtTables::restore`]
-//! rewinds to the fork point. The same mechanism backs chunk-level retry
-//! in the work-stealing scheduler (`pom_tlb::chunk`).
+//! rewinds to the fork point.
 //!
 //! ```sh
 //! cargo run --release --example fork_shootdown

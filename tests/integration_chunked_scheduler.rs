@@ -1,18 +1,22 @@
-//! Determinism contract of the chunked work-stealing scheduler: splitting
-//! a job's reference stream into chunks and scheduling the chunks across
-//! Chase–Lev deques must produce reports byte-identical to serial and to
-//! whole-job pooled execution — for every scheme, every worker count, any
-//! chunk size, with or without a shared-trace replay, and under fault
-//! injection with chunk-level retries in the mix.
+//! Determinism contract of chunked execution: a job driven as
+//! `Simulation::begin`, then bounded `ChunkSim::advance` steps, then
+//! `finish` must report byte-identically to the same job run whole,
+//! serially or on the worker pool — for every scheme, any step size, with
+//! the paused jobs handed between threads from step to step, with or
+//! without a shared-trace replay, and under fault injection with abandoned
+//! attempts restarted in the mix.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 use pom_tlb::{
-    default_jobs, run_jobs, run_jobs_chunked, run_jobs_chunked_with, share_traces, FaultConfig,
-    JobOutcome, RunPolicy, Scheme, SimConfig, SimJob, SystemConfig,
+    default_jobs, run_jobs, share_traces, ChunkSim, FaultConfig, Scheme, SimConfig, SimJob,
+    SystemConfig,
 };
 use pomtlb_trace::OsEventRates;
 use pomtlb_workloads::by_name;
 
-/// All four schemes over an eventful gups so chunk boundaries land between
+/// All four schemes over an eventful gups so step boundaries land between
 /// OS events as well as between plain references.
 fn batch() -> Vec<SimJob> {
     let sim = SimConfig { refs_per_core: 4_000, warmup_per_core: 1_000, seed: 0xc4a1 };
@@ -37,25 +41,50 @@ fn as_json(results: &[pom_tlb::JobResult]) -> Vec<String> {
         .collect()
 }
 
+/// Runs `jobs` in bounded steps of `step_refs` references on up to
+/// `workers` threads (clamped to the batch size, as the pool clamps) and
+/// returns each report as JSON, in submission order. Every round starts
+/// fresh threads that claim the unfinished jobs one step each, so a job's
+/// steps land on different threads and interleave with its siblings'.
+fn run_chunked(jobs: &[SimJob], workers: usize, step_refs: u64) -> Vec<String> {
+    let workers = workers.clamp(1, jobs.len().max(1));
+    let sims: Vec<Mutex<ChunkSim>> =
+        jobs.iter().map(|job| Mutex::new(job.to_simulation().begin())).collect();
+    while !sims.iter().all(|sim| sim.lock().unwrap().is_done()) {
+        let next = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| {
+                    while let Some(sim) = sims.get(next.fetch_add(1, Ordering::Relaxed)) {
+                        sim.lock().unwrap().advance(step_refs);
+                    }
+                });
+            }
+        });
+    }
+    sims.into_iter()
+        .map(|sim| {
+            let report = sim.into_inner().unwrap().finish();
+            serde_json::to_string(&report).expect("report serializes")
+        })
+        .collect()
+}
+
 #[test]
 fn chunked_matches_serial_for_all_schemes_and_worker_counts() {
     let serial = run_jobs(batch(), 1);
     assert_eq!(serial.len(), 4, "all four schemes");
     let golden = as_json(&serial);
-    // jobs ∈ {1, 2, auto}: the chunk chain must serialize identically no
-    // matter how many workers steal from it. Odd chunk sizes make the
-    // boundaries land mid-warmup and mid-measurement.
+    // Threads ∈ {1, 2, auto}: how the steps are spread must not matter.
+    // Odd step sizes make the boundaries land mid-warmup and
+    // mid-measurement.
     for workers in [1, 2, default_jobs()] {
-        for chunk_refs in [700, 4_096] {
-            let chunked = run_jobs_chunked(batch(), workers, chunk_refs);
+        for step_refs in [700, 4_096] {
             assert_eq!(
                 golden,
-                as_json(&chunked),
-                "reports diverged at {workers} workers / {chunk_refs}-ref chunks"
+                run_chunked(&batch(), workers, step_refs),
+                "reports diverged at {workers} workers / {step_refs}-ref steps"
             );
-            for (a, b) in serial.iter().zip(&chunked) {
-                assert_eq!(a.label, b.label, "submission order broke");
-            }
         }
     }
 }
@@ -66,24 +95,24 @@ fn chunked_replay_from_shared_trace_matches_live_generation() {
     let mut jobs = batch();
     let distinct = share_traces(&mut jobs);
     assert_eq!(distinct, 1, "four schemes share one recording");
-    let replayed = run_jobs_chunked(jobs, 3, 1_100);
     assert_eq!(
         as_json(&live),
-        as_json(&replayed),
-        "chunked replay of a recorded stream must equal live chunked generation"
+        run_chunked(&jobs, 3, 1_100),
+        "chunked replay of a recorded stream must equal live generation"
     );
 }
 
 #[test]
 fn chunked_equals_whole_job_pooled_execution() {
     let pooled = run_jobs(batch(), 4);
-    let chunked = run_jobs_chunked(batch(), 4, 900);
-    assert_eq!(as_json(&pooled), as_json(&chunked));
+    assert_eq!(as_json(&pooled), run_chunked(&batch(), 4, 900));
 }
 
 /// Fault injection rides along: the injected-fault plan is part of the
-/// simulated machine state, so chunk boundaries (and chunk-level retries
-/// rewinding that state) must not move a single injected fault.
+/// simulated machine state, so step boundaries must not move a single
+/// injected fault — and neither may an earlier attempt at the same job
+/// that was abandoned mid-stream, which is how a retry treats a failed
+/// attempt.
 #[test]
 fn fault_injected_jobs_survive_chunking_and_chunk_retries() {
     let faults = FaultConfig {
@@ -111,40 +140,27 @@ fn fault_injected_jobs_survive_chunking_and_chunk_retries() {
             assert_eq!(f.injected_total(), f.injected_dropped_ipis, "{}: {f:?}", r.label);
         }
     }
+    let golden = as_json(&serial);
     // Plain chunking first.
-    let chunked = run_jobs_chunked(arm(batch()), 2, 800);
-    assert_eq!(as_json(&serial), as_json(&chunked), "fault plans diverged under chunking");
+    assert_eq!(golden, run_chunked(&arm(batch()), 2, 800), "fault plans diverged under chunking");
 
-    // Now sabotage one job mid-stream: its chunks panic twice and are
-    // retried from pre-chunk snapshots (the batch replays a shared trace,
-    // so snapshots are available). The retries must not perturb the
-    // sabotaged job's own report *or* any sibling's.
+    // Now abandon every job partway — the batch replays one shared trace,
+    // so the abandoned attempts and the restarts read the same recording —
+    // and run it again from `begin`. The discarded state must leave no
+    // trace in any job's report.
     let mut jobs = arm(batch());
     share_traces(&mut jobs);
-    jobs[2] = jobs[2].clone().sabotage_panics("injected chunk failure", 2);
-    let policy = RunPolicy { max_retries: 3, ..RunPolicy::strict() };
-    let outcomes = run_jobs_chunked_with(jobs, 2, 800, policy, &|_, _| {});
-    assert_eq!(outcomes.len(), serial.len());
-    let JobOutcome::Retried { retries, .. } = &outcomes[2] else {
-        panic!("sabotaged job must be Retried, got {}", outcomes[2].status());
-    };
-    assert_eq!(*retries, 2);
-    for (idx, (a, b)) in serial.iter().zip(&outcomes).enumerate() {
-        let b = b.result().expect("every job completes");
-        assert_eq!(a.label, b.label);
-        assert_eq!(
-            serde_json::to_string(&a.report).unwrap(),
-            serde_json::to_string(&b.report).unwrap(),
-            "slot {idx} perturbed by a sibling's chunk retries"
-        );
+    for job in &jobs {
+        let mut abandoned = job.to_simulation().begin();
+        assert_eq!(abandoned.advance(3_000), 3_000, "{}: abandoned mid-stream", job.label);
     }
+    assert_eq!(golden, run_chunked(&jobs, 2, 800), "an abandoned attempt perturbed a restart");
 }
 
 #[test]
 fn oversized_pool_and_oversized_chunks_are_harmless() {
-    // More workers than jobs, and chunks larger than the whole stream:
-    // degenerates to whole-job scheduling, same bytes out.
+    // More workers than jobs, and steps larger than the whole stream:
+    // degenerates to one step per job, same bytes out.
     let serial = run_jobs(batch(), 1);
-    let chunked = run_jobs_chunked(batch(), 16, u64::MAX);
-    assert_eq!(as_json(&serial), as_json(&chunked));
+    assert_eq!(as_json(&serial), run_chunked(&batch(), 16, u64::MAX));
 }

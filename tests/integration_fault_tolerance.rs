@@ -9,8 +9,8 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use pom_tlb::{
-    run_jobs, run_jobs_with, share_traces_with_store, FaultConfig, JobOutcome, RunPolicy,
-    Scheme, SimConfig, SimJob, SystemConfig,
+    run_jobs, run_jobs_with, share_traces, share_traces_with_store, FaultConfig, JobOutcome,
+    JobResult, RunPolicy, Scheme, SimConfig, SimJob, SystemConfig,
 };
 use pomtlb_trace::{OsEventRates, TraceStore};
 use pomtlb_workloads::by_name;
@@ -120,29 +120,65 @@ fn panicking_job_and_transient_store_faults_do_not_take_down_the_sweep() {
     }
 }
 
-/// A job that panics once and then recovers is retried by the default
-/// policy and lands the same report as a run that never failed.
-#[test]
-fn transient_panic_retries_to_an_identical_report() {
-    let clean = run_jobs(batch(), 1);
-    let mut jobs = batch();
-    let victim = jobs.remove(5);
-    jobs.insert(5, victim.sabotage_panics("transient harness fault", 1));
-    let outcomes = run_jobs_with(jobs, 2, RunPolicy::default(), &|_, _| {});
+/// Runs `jobs` on two workers with slot `victim` made to panic `panics`
+/// times under `policy`: the victim must come back retried, every sibling
+/// ok, and every slot byte-identical to the undisturbed serial `clean`.
+fn assert_retries_to_identical_reports(
+    clean: &[JobResult],
+    mut jobs: Vec<SimJob>,
+    victim: usize,
+    panics: u32,
+    policy: RunPolicy,
+) {
+    jobs[victim] = jobs[victim].clone().sabotage_panics("transient harness fault", panics);
+    let outcomes = run_jobs_with(jobs, 2, policy, &|_, _| {});
 
-    assert!(outcomes.iter().all(JobOutcome::completed), "no job was lost");
-    match &outcomes[5] {
-        JobOutcome::Retried { result, retries } => {
-            assert_eq!(*retries, 1);
-            assert_eq!(
-                fingerprint(result),
-                fingerprint(&clean[5]),
-                "the retried attempt must match an undisturbed run"
-            );
-        }
+    assert_eq!(outcomes.len(), clean.len(), "every job has an outcome");
+    match &outcomes[victim] {
+        JobOutcome::Retried { retries, .. } => assert_eq!(*retries, panics),
         other => panic!("expected a retried outcome, got {}", other.status()),
     }
-    assert_eq!(outcomes.iter().filter(|o| o.status() == "ok").count(), outcomes.len() - 1);
+    for (i, (outcome, clean)) in outcomes.iter().zip(clean).enumerate() {
+        if i != victim {
+            assert_eq!(outcome.status(), "ok", "sibling `{}` unaffected", outcome.label());
+        }
+        let result = outcome.result().expect("no job was lost");
+        assert_eq!(
+            fingerprint(result),
+            fingerprint(clean),
+            "slot {i} (`{}`) must match an undisturbed serial run",
+            result.label
+        );
+    }
+}
+
+/// A job that panics and then recovers is retried and lands the same
+/// report as a run that never failed, without perturbing its siblings.
+#[test]
+fn transient_panic_retries_to_an_identical_report() {
+    assert_retries_to_identical_reports(
+        &run_jobs(batch(), 1),
+        batch(),
+        5,
+        1,
+        RunPolicy::default(),
+    );
+
+    // Fault-armed, eventful and replaying one shared recording: the fault
+    // plan is part of the simulated machine, so neither the pool nor a
+    // retried attempt may move a single injected fault.
+    let armed = || -> Vec<SimJob> {
+        [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()]
+            .into_iter()
+            .map(|scheme| faulted_job(scheme, true))
+            .collect()
+    };
+    let clean = run_jobs(armed(), 1);
+    assert!(clean[3].report.faults.injected_total() > 0, "the POM-TLB row injects");
+    let mut jobs = armed();
+    assert_eq!(share_traces(&mut jobs), 1, "four schemes share one recording");
+    let policy = RunPolicy { max_retries: 3, ..RunPolicy::strict() };
+    assert_retries_to_identical_reports(&clean, jobs, 2, 2, policy);
 }
 
 /// Amplified rates so every kind of fault fires many times even in a short

@@ -4,6 +4,7 @@
 //! or pooled. `--trace-cache` output leans on this.
 
 use pom_tlb::{run_jobs, share_traces, Scheme, SimConfig, SimJob, SystemConfig};
+use pomtlb_trace::OsEventRates;
 use pomtlb_workloads::by_name;
 
 fn batch() -> Vec<SimJob> {
@@ -21,6 +22,24 @@ fn batch() -> Vec<SimJob> {
         }
     }
     jobs
+}
+
+/// All four schemes over a gups with unmaps and remaps, so the recording
+/// carries OS events between its references.
+fn eventful_gups_batch() -> Vec<SimJob> {
+    let sim = SimConfig { refs_per_core: 4_000, warmup_per_core: 1_000, seed: 0xc4a1 };
+    let sys = SystemConfig { n_cores: 2, ..Default::default() };
+    let w = by_name("gups").expect("workload exists");
+    let mut spec = w.spec.clone();
+    spec.os_events = OsEventRates { unmaps: 4.0, remaps: 2.0, ..Default::default() };
+    [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()]
+        .into_iter()
+        .map(|scheme| {
+            SimJob::new(format!("gups/{}", scheme.label()), &spec, scheme, sim)
+                .with_system_config(sys.clone())
+                .shared_memory(w.suite.shares_memory())
+        })
+        .collect()
 }
 
 /// A stable per-report fingerprint: the JSON encoding where serde_json is
@@ -63,15 +82,17 @@ fn shared_trace_serial_matches_generated_serial() {
 
 #[test]
 fn shared_trace_pooled_matches_generated_serial() {
-    let live = run_jobs(batch(), 1);
-    let mut cached = batch();
-    share_traces(&mut cached);
-    let pooled = run_jobs(cached, 4);
-    assert_eq!(
-        fingerprints(&live),
-        fingerprints(&pooled),
-        "worker pool + shared recording must still be byte-identical to serial live"
-    );
+    for (make, recordings) in [(batch as fn() -> Vec<SimJob>, 3), (eventful_gups_batch, 1)] {
+        let live = run_jobs(make(), 1);
+        let mut cached = make();
+        assert_eq!(share_traces(&mut cached), recordings);
+        let pooled = run_jobs(cached, 4);
+        assert_eq!(
+            fingerprints(&live),
+            fingerprints(&pooled),
+            "worker pool + shared recording must still be byte-identical to serial live"
+        );
+    }
 }
 
 #[test]

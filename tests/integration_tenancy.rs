@@ -1,12 +1,12 @@
 //! Multi-tenant consolidation end to end: Zipf-skewed tenant attribution,
 //! lifecycle churn through the shootdown engine, per-tenant QoS accounting
-//! in the report, determinism across schedulers, and the VM_ID-reuse
+//! in the report, determinism serial, pooled and replayed, and the VM_ID-reuse
 //! safety property (a rebooted VM with a recycled VM_ID must never be
 //! served a predecessor's translation).
 
 use pom_tlb::{
-    run_jobs, run_jobs_chunked, share_traces, Scheme, SimConfig, SimJob, SimReport, Simulation,
-    System, SystemConfig,
+    run_jobs, share_traces, Scheme, SimConfig, SimJob, SimReport, Simulation, System,
+    SystemConfig,
 };
 use pomtlb_tlb::{VirtTables, WalkMode};
 use pomtlb_trace::{LocalityModel, OsEvent, OsEventKind, TenantMix, WorkloadSpec};
@@ -82,7 +82,7 @@ fn non_tenancy_reports_carry_a_default_section() {
 }
 
 #[test]
-fn tenancy_is_deterministic_across_serial_pooled_and_chunked() {
+fn tenancy_is_deterministic_across_serial_pooled_and_replayed() {
     let jobs = || -> Vec<SimJob> {
         [Scheme::Baseline, Scheme::pom_tlb(), Scheme::SharedL2, Scheme::Tsb]
             .into_iter()
@@ -94,10 +94,10 @@ fn tenancy_is_deterministic_across_serial_pooled_and_chunked() {
     };
     let serial = run_jobs(jobs(), 1);
     let pooled = run_jobs(jobs(), 3);
-    let mut chunked_jobs = jobs();
-    share_traces(&mut chunked_jobs);
-    let chunked = run_jobs_chunked(chunked_jobs, 3, 900);
-    for ((a, b), c) in serial.iter().zip(&pooled).zip(&chunked) {
+    let mut replay_jobs = jobs();
+    share_traces(&mut replay_jobs);
+    let replayed = run_jobs(replay_jobs, 3);
+    for ((a, b), c) in serial.iter().zip(&pooled).zip(&replayed) {
         assert_eq!(
             fingerprint(&a.report),
             fingerprint(&b.report),
@@ -107,7 +107,7 @@ fn tenancy_is_deterministic_across_serial_pooled_and_chunked() {
         assert_eq!(
             fingerprint(&a.report),
             fingerprint(&c.report),
-            "{}: serial vs chunked-replay diverged",
+            "{}: serial vs pooled replay diverged",
             a.label
         );
     }
