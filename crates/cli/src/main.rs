@@ -2,12 +2,15 @@
 //!
 //! ```text
 //! pomtlb list
-//! pomtlb sim --workload mcf [--scheme pom-tlb] [--cores 8] [--refs 40000]
-//!            [--warmup 15000] [--seed N] [--capacity-mb 16] [--native]
+//! pomtlb sim --workload mcf [--scheme pom-tlb] [--cores N] [--refs N]
+//!            [--warmup N] [--seed N] [--capacity-mb N] [--native]
 //!            [--no-prepopulate] [--unmaps-per-10k X] [--check-consistency]
 //!            [--json]
-//! pomtlb compare --workload gups [--cores 8] [--refs 40000] [--json]
+//! pomtlb compare --workload gups [--cores N] [--refs N] [--json]
 //! pomtlb shootdown-sweep --workload gups [--json]
+//! pomtlb consolidation-sweep [--vms N] [--churn-destroys-per-10k X]
+//!                            [--churn-forks-per-10k X] [--no-churn]
+//!                            [--assert-determinism] [--json]
 //! pomtlb fault-sweep --workload gups [--fault-seed N] [--assert-detection]
 //!                    [--json]
 //! pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]
@@ -25,9 +28,20 @@
 //!                    [--delay-ms N]
 //! ```
 //!
-//! Batched commands (`compare`, `shootdown-sweep`, `fault-sweep`) accept
-//! `--trace-cache-dir DIR`: shared recordings persist to a POMTRC2 store at
-//! DIR and later invocations replay them from disk instead of regenerating.
+//! The five simulation commands build their batches the way the daemon
+//! does. The flags fill a [`ServeRequest`] under its request names, and
+//! `ServeRequest::resolve_given` plus `ResolvedRequest::jobs` turn it into
+//! jobs: `sim` and `compare` run one request each, `shootdown-sweep` one
+//! `compare` request per unmap rate (0, 1, 10 per 10k references),
+//! `consolidation-sweep` one `consolidation` request per ladder rung and
+//! `fault-sweep` one `fault-sweep` request. Every sweep therefore lists
+//! its schemes in `compare`'s order. Flags are literal: `--warmup 0` runs
+//! without warmup, where a zero on the wire means "default".
+//!
+//! Every simulation command (`sim`, `compare`, `shootdown-sweep`,
+//! `consolidation-sweep`, `fault-sweep`) accepts `--trace-cache-dir DIR`:
+//! shared recordings persist to a POMTRC2 store at DIR and later
+//! invocations replay them from disk instead of regenerating.
 //! `trace-store` inspects such a store: `stats` lists its recordings,
 //! `verify` integrity-checks every file (exit code 1 if any fails), `gc`
 //! evicts least-recently-used recordings down to `--max-mb`.
@@ -64,16 +78,16 @@
 use std::process::ExitCode;
 
 use pom_tlb::{
-    consolidation_ladder, run_jobs, share_traces, share_traces_with_store, FaultConfig,
-    FaultStats, PomTlbConfig, Scheme, ShootdownStats, SimConfig, SimJob, SimReport, SystemConfig,
+    consolidation_ladder, run_jobs, share_traces, share_traces_with_store, FaultStats, Scheme,
+    ShootdownStats, SimJob, SimReport,
 };
 use pomtlb_serve::{
-    check_envelope, fault_sweep_default_events, parse_scheme, ReportStore, ServeConfig, Service,
+    parse_scheme, ReportStore, ResolvedRequest, RowMeta, ServeConfig, ServeRequest, Service,
+    DEFAULT_CAPACITY_MB, DEFAULT_CORES, DEFAULT_FAULT_SEED, DEFAULT_REFS, DEFAULT_SEED,
+    DEFAULT_WARMUP,
 };
-use pomtlb_tlb::WalkMode;
-use pomtlb_trace::{OsEventRates, TraceStore};
-use pomtlb_workloads::consolidation::{consolidation_spec, resolve_mix};
-use pomtlb_workloads::{by_name, names, PaperWorkload};
+use pomtlb_trace::{GcReport, OsEventRates, TraceStore, VerifyEntry};
+use pomtlb_workloads::PaperWorkload;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -82,11 +96,11 @@ fn main() -> ExitCode {
             list();
             ExitCode::SUCCESS
         }
-        Some("sim") => run_command(&args[1..], CommandKind::Sim),
-        Some("compare") => run_command(&args[1..], CommandKind::Compare),
-        Some("shootdown-sweep") => run_sweep(&args[1..]),
-        Some("consolidation-sweep") => run_consolidation_sweep(&args[1..]),
-        Some("fault-sweep") => run_fault_sweep(&args[1..]),
+        Some("sim") => run_simulation(&args[1..], Command::Sim),
+        Some("compare") => run_simulation(&args[1..], Command::Compare),
+        Some("shootdown-sweep") => run_simulation(&args[1..], Command::ShootdownSweep),
+        Some("consolidation-sweep") => run_simulation(&args[1..], Command::ConsolidationSweep),
+        Some("fault-sweep") => run_simulation(&args[1..], Command::FaultSweep),
         Some("trace-store") => run_trace_store(&args[1..]),
         Some("report-store") => run_report_store(&args[1..]),
         Some("serve") => run_serve(&args[1..]),
@@ -104,105 +118,89 @@ fn main() -> ExitCode {
     }
 }
 
-enum CommandKind {
+/// The five simulation commands.
+#[derive(Clone, Copy)]
+enum Command {
     Sim,
     Compare,
+    ShootdownSweep,
+    ConsolidationSweep,
+    FaultSweep,
 }
 
+/// A simulation command line: the simulation knobs, held in a serve request
+/// under their request names, and the flags only the CLI has.
 #[derive(Debug, Clone)]
 struct Options {
-    workload: Option<String>,
-    scheme: Scheme,
-    cores: usize,
-    refs: u64,
-    warmup: u64,
-    seed: u64,
-    capacity_mb: u64,
-    native: bool,
-    prepopulate: bool,
-    events: OsEventRates,
-    check_consistency: bool,
+    request: ServeRequest,
     json: bool,
     jobs: usize,
     trace_cache: bool,
     trace_cache_dir: Option<String>,
-    fault_seed: u64,
     assert_detection: bool,
-    vms: u32,
-    churn_destroys: f64,
-    churn_forks: f64,
-    no_churn: bool,
     assert_determinism: bool,
 }
 
-impl Default for Options {
-    fn default() -> Self {
-        Options {
-            workload: None,
-            scheme: Scheme::pom_tlb(),
-            cores: 8,
-            refs: 40_000,
-            warmup: 15_000,
-            seed: 0x90af,
-            capacity_mb: 16,
-            native: false,
-            prepopulate: true,
-            events: OsEventRates::default(),
-            check_consistency: false,
-            json: false,
-            jobs: 1,
-            trace_cache: false,
-            trace_cache_dir: None,
-            fault_seed: 0x5eed,
-            assert_detection: false,
-            vms: 0,
-            churn_destroys: 0.0,
-            churn_forks: 0.0,
-            no_churn: false,
-            assert_determinism: false,
-        }
-    }
-}
-
 fn parse(args: &[String]) -> Result<Options, String> {
-    let mut o = Options::default();
+    let mut o = Options {
+        // Flags are taken as given, so the numeric knobs start at their
+        // defaults spelled out rather than at the wire's zero.
+        request: ServeRequest {
+            cores: DEFAULT_CORES,
+            refs: DEFAULT_REFS,
+            warmup: DEFAULT_WARMUP,
+            seed: DEFAULT_SEED,
+            capacity_mb: DEFAULT_CAPACITY_MB,
+            fault_seed: DEFAULT_FAULT_SEED,
+            ..ServeRequest::default()
+        },
+        json: false,
+        jobs: 1,
+        trace_cache: false,
+        trace_cache_dir: None,
+        assert_detection: false,
+        assert_determinism: false,
+    };
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| -> Result<String, String> {
             it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
         };
+        let r = &mut o.request;
         match a.as_str() {
-            "--workload" | "-w" => o.workload = Some(value("--workload")?),
+            "--workload" | "-w" => r.workload = value("--workload")?,
             "--scheme" | "-s" => {
-                o.scheme = parse_scheme(&value("--scheme")?)?;
+                let scheme = value("--scheme")?;
+                parse_scheme(&scheme)?;
+                r.scheme = scheme;
             }
-            "--cores" => o.cores = num(&value("--cores")?)? as usize,
-            "--refs" => o.refs = num(&value("--refs")?)?,
-            "--warmup" => o.warmup = num(&value("--warmup")?)?,
-            "--seed" => o.seed = num(&value("--seed")?)?,
-            "--capacity-mb" => o.capacity_mb = num(&value("--capacity-mb")?)?,
-            "--native" => o.native = true,
-            "--no-prepopulate" => o.prepopulate = false,
-            "--unmaps-per-10k" => o.events.unmaps = fnum(&value("--unmaps-per-10k")?)?,
-            "--remaps-per-10k" => o.events.remaps = fnum(&value("--remaps-per-10k")?)?,
-            "--promotes-per-10k" => o.events.promotes = fnum(&value("--promotes-per-10k")?)?,
+            "--cores" => r.cores = num(&value("--cores")?)?,
+            "--refs" => r.refs = num(&value("--refs")?)?,
+            "--warmup" => r.warmup = num(&value("--warmup")?)?,
+            "--seed" => r.seed = num(&value("--seed")?)?,
+            "--capacity-mb" => r.capacity_mb = num(&value("--capacity-mb")?)?,
+            "--native" => r.native = true,
+            "--no-prepopulate" => r.no_prepopulate = true,
+            "--unmaps-per-10k" => r.unmaps_per_10k = fnum(&value("--unmaps-per-10k")?)?,
+            "--remaps-per-10k" => r.remaps_per_10k = fnum(&value("--remaps-per-10k")?)?,
+            "--promotes-per-10k" => r.promotes_per_10k = fnum(&value("--promotes-per-10k")?)?,
             "--migrations-per-10k" => {
-                o.events.migrations = fnum(&value("--migrations-per-10k")?)?;
+                r.migrations_per_10k = fnum(&value("--migrations-per-10k")?)?;
             }
             "--vm-destroys-per-10k" => {
-                o.events.vm_destroys = fnum(&value("--vm-destroys-per-10k")?)?;
+                r.vm_destroys_per_10k = fnum(&value("--vm-destroys-per-10k")?)?;
             }
-            "--vms" => o.vms = num_u32(&value("--vms")?)?,
+            "--vms" => r.vms = num_u32(&value("--vms")?)?,
             "--churn-destroys-per-10k" => {
-                o.churn_destroys = fnum(&value("--churn-destroys-per-10k")?)?;
+                r.churn_destroys_per_10k = fnum(&value("--churn-destroys-per-10k")?)?;
             }
             "--churn-forks-per-10k" => {
-                o.churn_forks = fnum(&value("--churn-forks-per-10k")?)?;
+                r.churn_forks_per_10k = fnum(&value("--churn-forks-per-10k")?)?;
             }
-            "--no-churn" => o.no_churn = true,
+            "--no-churn" => r.no_churn = true,
+            "--check-consistency" => r.check_consistency = true,
+            "--fault-seed" => r.fault_seed = num(&value("--fault-seed")?)?,
             "--assert-determinism" => o.assert_determinism = true,
-            "--check-consistency" => o.check_consistency = true,
-            "--fault-seed" => o.fault_seed = num(&value("--fault-seed")?)?,
             "--assert-detection" => o.assert_detection = true,
             "--json" => o.json = true,
             "--trace-cache" => o.trace_cache = true,
@@ -221,11 +219,6 @@ fn parse(args: &[String]) -> Result<Options, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
-    o.events.validate()?;
-    // The daemon's admission envelope, so a bad geometry or an
-    // overflowing budget is an error here rather than a panic (or a
-    // wrapped budget) inside the simulator.
-    check_envelope(o.cores as u64, o.capacity_mb, o.warmup, o.refs).map_err(|e| e.to_string())?;
     Ok(o)
 }
 
@@ -243,7 +236,87 @@ fn fnum(s: &str) -> Result<f64, String> {
     s.parse().map_err(|_| format!("`{s}` is not a number"))
 }
 
-fn run_command(args: &[String], kind: CommandKind) -> ExitCode {
+impl Command {
+    /// The serve requests this command line stands for, resolved with the
+    /// flags taken as given. `Err` is the refusal to print.
+    fn resolve(self, base: &ServeRequest) -> Result<Vec<ResolvedRequest>, String> {
+        let request = |kind: &str| ServeRequest { kind: kind.to_string(), ..base.clone() };
+        let requests = match self {
+            Command::FaultSweep if base.workload.is_empty() => {
+                vec![ServeRequest { workload: "gups".to_string(), ..request("fault-sweep") }]
+            }
+            Command::FaultSweep => vec![request("fault-sweep")],
+            Command::ConsolidationSweep => {
+                let rungs =
+                    if base.vms == 0 { consolidation_ladder().to_vec() } else { vec![base.vms] };
+                let rung = |vms| ServeRequest { vms, ..request("consolidation") };
+                rungs.into_iter().map(rung).collect()
+            }
+            _ if base.workload.is_empty() => {
+                return Err("--workload is required (see `pomtlb list`)".to_string());
+            }
+            Command::Sim => vec![request("sim")],
+            Command::Compare => vec![request("compare")],
+            Command::ShootdownSweep => {
+                // The flags as given pass their own checks first; then any
+                // event rate is refused, as the sweep sets the unmap rate.
+                if request("compare").resolve_given()?.events != OsEventRates::default() {
+                    return Err("shootdown-sweep sets the unmap rate itself (0, 1 and 10 per \
+                                10k references); drop the --*-per-10k flags"
+                        .to_string());
+                }
+                [0.0, 1.0, 10.0]
+                    .into_iter()
+                    .map(|unmaps_per_10k| ServeRequest { unmaps_per_10k, ..request("compare") })
+                    .collect()
+            }
+        };
+        requests.iter().map(ServeRequest::resolve_given).collect()
+    }
+}
+
+/// One finished job: the request it came from, its identity within that
+/// request's batch, and its report.
+struct Row<'a> {
+    request: &'a ResolvedRequest,
+    meta: RowMeta,
+    report: SimReport,
+}
+
+/// Every request's jobs in request order, each paired with its request and
+/// row identity.
+fn batch(requests: &[ResolvedRequest]) -> (Vec<SimJob>, Vec<(&ResolvedRequest, RowMeta)>) {
+    let mut jobs = Vec::new();
+    let mut rows = Vec::new();
+    for request in requests {
+        let (more, metas) = request.jobs();
+        jobs.extend(more);
+        rows.extend(metas.into_iter().map(|meta| (request, meta)));
+    }
+    (jobs, rows)
+}
+
+/// Runs every request's jobs as one batch on the worker pool. Rows come
+/// back request by request, each request's rows in the daemon's order.
+fn run_batch<'a>(requests: &'a [ResolvedRequest], o: &Options) -> Result<Vec<Row<'a>>, String> {
+    let (mut jobs, rows) = batch(requests);
+    if o.trace_cache {
+        // One recording per distinct input stream (an unmap rate changes
+        // the stream, a scheme or a fault plan does not).
+        let store = o.trace_cache_dir.as_deref().map(|d| {
+            TraceStore::open(d).map_err(|e| format!("cannot open trace store {d}: {e}"))
+        });
+        share_traces_with_store(&mut jobs, store.transpose()?.as_ref());
+    }
+    Ok(run_jobs(jobs, o.jobs)
+        .into_iter()
+        .zip(rows)
+        .map(|(res, (request, meta))| Row { request, meta, report: res.report })
+        .collect())
+}
+
+/// `sim`, `compare` and the three sweeps: resolve, run one batch, print.
+fn run_simulation(args: &[String], command: Command) -> ExitCode {
     let opts = match parse(args) {
         Ok(o) => o,
         Err(e) => {
@@ -252,81 +325,53 @@ fn run_command(args: &[String], kind: CommandKind) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let Some(name) = opts.workload.clone() else {
-        eprintln!("--workload is required (see `pomtlb list`)");
-        return ExitCode::FAILURE;
-    };
-    let Some(w) = by_name(&name) else {
-        eprintln!("unknown workload `{name}`; known: {}", names().join(" "));
-        return ExitCode::FAILURE;
-    };
-
-    match kind {
-        CommandKind::Sim => {
-            let report = simulate(&w, opts.scheme, &opts);
-            emit(&w, &[report], &opts);
-        }
-        CommandKind::Compare => {
-            let mut jobs: Vec<SimJob> =
-                [Scheme::Baseline, Scheme::pom_tlb(), Scheme::SharedL2, Scheme::Tsb]
-                    .into_iter()
-                    .map(|s| job_for(&w, s, &opts))
-                    .collect();
-            if opts.trace_cache {
-                let store = match open_store(&opts.trace_cache_dir) {
-                    Ok(s) => s,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                share_traces_with_store(&mut jobs, store.as_ref());
+    let held = command.resolve(&opts.request).and_then(|requests| {
+        let rows = run_batch(&requests, &opts)?;
+        let (request, json) = (&requests[0], opts.json);
+        Ok(match command {
+            Command::Sim | Command::Compare => emit(request, &rows, json),
+            Command::ShootdownSweep => print_shootdown_rows(request, &rows, json),
+            Command::ConsolidationSweep => {
+                let deterministic = !opts.assert_determinism
+                    || consolidation_is_deterministic(&requests, opts.jobs);
+                print_consolidation_rows(request, &rows, json) && deterministic
             }
-            let reports: Vec<SimReport> = run_jobs(jobs, opts.jobs)
-                .into_iter()
-                .map(|r| r.report)
-                .collect();
-            emit(&w, &reports, &opts);
+            Command::FaultSweep => {
+                let rows: Vec<FaultRow> = rows.iter().map(FaultRow::from).collect();
+                print_fault_rows(request, &rows, json)
+                    && (!opts.assert_detection || fault_rows_hold_invariants(&rows))
+            }
+        })
+    });
+    match held {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }
 
-/// Opens the persistent trace store when `--trace-cache-dir` was given;
-/// `Ok(None)` means plain in-memory sharing.
-fn open_store(dir: &Option<String>) -> Result<Option<TraceStore>, String> {
-    match dir {
-        Some(d) => TraceStore::open(d)
-            .map(Some)
-            .map_err(|e| format!("cannot open trace store {d}: {e}")),
-        None => Ok(None),
+/// The paper workload of a request that names one (every kind but
+/// `consolidation`).
+fn paper_workload(request: &ResolvedRequest) -> &PaperWorkload {
+    request.workload.as_ref().expect("workload kinds carry a workload")
+}
+
+/// Prints `value` as pretty JSON; false (after saying why) if it cannot be
+/// serialized.
+fn print_json<T: serde::Serialize + ?Sized>(value: &T) -> bool {
+    match serde_json::to_string_pretty(value) {
+        Ok(s) => {
+            println!("{s}");
+            true
+        }
+        Err(e) => {
+            eprintln!("cannot serialize rows: {e}");
+            false
+        }
     }
-}
-
-/// Builds the fully-specified job `simulate` would run, so batched commands
-/// (compare, sweeps) can hand the same configuration to the parallel runner.
-fn job_for(w: &PaperWorkload, scheme: Scheme, o: &Options) -> SimJob {
-    let sys = SystemConfig {
-        n_cores: o.cores,
-        walk_mode: if o.native { WalkMode::Native } else { WalkMode::Virtualized },
-        pom: PomTlbConfig { capacity_bytes: o.capacity_mb << 20, ..Default::default() },
-        ..Default::default()
-    };
-    let sim = SimConfig { refs_per_core: o.refs, warmup_per_core: o.warmup, seed: o.seed };
-    let mut spec = w.spec.clone();
-    spec.os_events = o.events;
-    let mut job = SimJob::new(format!("{}/{}", w.name, scheme.label()), &spec, scheme, sim)
-        .with_system_config(sys)
-        .shared_memory(w.suite.shares_memory());
-    job.prepopulate = o.prepopulate;
-    if o.check_consistency {
-        job.check_consistency = Some(true);
-    }
-    job
-}
-
-fn simulate(w: &PaperWorkload, scheme: Scheme, o: &Options) -> SimReport {
-    job_for(w, scheme, o).run()
 }
 
 /// One row of the `shootdown-sweep` output: scheme × unmap rate, with the
@@ -339,76 +384,21 @@ struct SweepRow {
     shootdowns: ShootdownStats,
 }
 
-fn run_sweep(args: &[String]) -> ExitCode {
-    let opts = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n");
-            help();
-            return ExitCode::FAILURE;
-        }
-    };
-    let Some(name) = opts.workload.clone() else {
-        eprintln!("--workload is required (see `pomtlb list`)");
-        return ExitCode::FAILURE;
-    };
-    let Some(w) = by_name(&name) else {
-        eprintln!("unknown workload `{name}`; known: {}", names().join(" "));
-        return ExitCode::FAILURE;
-    };
-
-    // Build the whole rate x scheme matrix as independent jobs, then run it
-    // on the worker pool; `run_jobs` keeps submission order, so rows come
-    // back exactly as the serial loop produced them.
-    let mut jobs = Vec::new();
-    let mut rates = Vec::new();
-    for rate in [0.0, 1.0, 10.0] {
-        for scheme in [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()] {
-            let mut o = opts.clone();
-            o.events = OsEventRates::unmap_heavy(rate);
-            jobs.push(job_for(&w, scheme, &o));
-            rates.push(rate);
-        }
-    }
-    if opts.trace_cache {
-        // One recording per unmap rate (the event mix changes the stream);
-        // the four schemes at each rate share it.
-        let store = match open_store(&opts.trace_cache_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        share_traces_with_store(&mut jobs, store.as_ref());
-    }
-    let rows: Vec<SweepRow> = run_jobs(jobs, opts.jobs)
-        .into_iter()
-        .zip(rates)
-        .map(|(res, rate)| {
-            let r = res.report;
-            SweepRow {
-                unmaps_per_10k: rate,
-                scheme: r.scheme.label().to_string(),
-                p_avg: r.p_avg(),
-                shootdowns: r.shootdowns,
-            }
+fn print_shootdown_rows(request: &ResolvedRequest, rows: &[Row], json: bool) -> bool {
+    let rows: Vec<SweepRow> = rows
+        .iter()
+        .map(|row| SweepRow {
+            unmaps_per_10k: row.request.events.unmaps,
+            scheme: row.report.scheme.label().to_string(),
+            p_avg: row.report.p_avg(),
+            shootdowns: row.report.shootdowns,
         })
         .collect();
-
-    if opts.json {
-        return match serde_json::to_string_pretty(&rows) {
-            Ok(s) => {
-                println!("{s}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("cannot serialize sweep rows: {e}");
-                ExitCode::FAILURE
-            }
-        };
+    if json {
+        return print_json(&rows);
     }
-    println!("workload {} ({:?}), {} cores: unmap-rate sweep", w.name, w.suite, opts.cores);
+    let w = paper_workload(request);
+    println!("workload {} ({:?}), {} cores: unmap-rate sweep", w.name, w.suite, request.cores);
     println!(
         "{:>9} {:>12} {:>10} {:>8} {:>7} {:>7} {:>7} {:>7} {:>7} {:>12}",
         "per-10k", "scheme", "p_avg", "unmaps", "sram", "sh-l2", "tsb", "pom", "lines", "penalty(cyc)"
@@ -429,7 +419,7 @@ fn run_sweep(args: &[String]) -> ExitCode {
             s.penalty.raw(),
         );
     }
-    ExitCode::SUCCESS
+    true
 }
 
 /// One row of the `consolidation-sweep` output: tenant count × scheme,
@@ -449,11 +439,11 @@ struct ConsolidationRow {
     fork_remaps: u64,
 }
 
-impl ConsolidationRow {
-    fn from_report(vms: u32, r: &SimReport) -> Self {
-        let t = &r.tenancy;
+impl From<&Row<'_>> for ConsolidationRow {
+    fn from(row: &Row) -> Self {
+        let (r, t) = (&row.report, &row.report.tenancy);
         ConsolidationRow {
-            vms,
+            vms: row.request.tenants.map_or(0, |t| t.vms),
             scheme: r.scheme.label().to_string(),
             p_avg: r.p_avg(),
             dispersion: t.dispersion,
@@ -467,51 +457,15 @@ impl ConsolidationRow {
     }
 }
 
-/// Builds the consolidation batch: every ladder rung × scheme, one shared
-/// host-memory image per rung so the tenant population (not the core
-/// count) sets the table footprint. Returns the jobs and, per job, its
-/// tenant count.
-fn consolidation_jobs(rungs: &[u32], churn: Option<(f64, f64)>, o: &Options) -> (Vec<SimJob>, Vec<u32>) {
-    let sys = SystemConfig {
-        n_cores: o.cores,
-        walk_mode: if o.native { WalkMode::Native } else { WalkMode::Virtualized },
-        pom: PomTlbConfig { capacity_bytes: o.capacity_mb << 20, ..Default::default() },
-        ..Default::default()
-    };
-    let sim = SimConfig { refs_per_core: o.refs, warmup_per_core: o.warmup, seed: o.seed };
-    let mut jobs = Vec::new();
-    let mut vms_of = Vec::new();
-    for &vms in rungs {
-        let spec = consolidation_spec(vms, churn);
-        for scheme in [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()] {
-            let mut job =
-                SimJob::new(format!("{}/{}", spec.name, scheme.label()), &spec, scheme, sim)
-                    .with_system_config(sys.clone())
-                    .shared_memory(true);
-            job.prepopulate = o.prepopulate;
-            if o.check_consistency {
-                job.check_consistency = Some(true);
-            }
-            jobs.push(job);
-            vms_of.push(vms);
-        }
-    }
-    (jobs, vms_of)
-}
-
 /// `--assert-determinism`: the same batch must fingerprint byte-identically
 /// when run serially and on a worker pool over a shared recorded trace.
 /// Returns false (after naming the divergent job) if the pooled replay
 /// disagrees with the serial reference.
-fn consolidation_is_deterministic(
-    rungs: &[u32],
-    churn: Option<(f64, f64)>,
-    opts: &Options,
-) -> bool {
-    let serial = run_jobs(consolidation_jobs(rungs, churn, opts).0, 1);
-    let mut replay_jobs = consolidation_jobs(rungs, churn, opts).0;
+fn consolidation_is_deterministic(requests: &[ResolvedRequest], jobs: usize) -> bool {
+    let serial = run_jobs(batch(requests).0, 1);
+    let mut replay_jobs = batch(requests).0;
     share_traces(&mut replay_jobs);
-    let pooled = run_jobs(replay_jobs, opts.jobs.max(2));
+    let pooled = run_jobs(replay_jobs, jobs.max(2));
     let mut ok = true;
     for (a, b) in serial.iter().zip(&pooled) {
         if serde_json::to_string(&a.report).unwrap_or_default()
@@ -524,102 +478,50 @@ fn consolidation_is_deterministic(
     ok
 }
 
-/// `pomtlb consolidation-sweep`: all four schemes across a tenant-count
-/// ladder (or one `--vms` rung) under lifecycle churn, reporting per-tenant
-/// p50/p99 tail latency and Eq. (1) set-index dispersion per scheme.
-fn run_consolidation_sweep(args: &[String]) -> ExitCode {
-    let opts = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n");
-            help();
-            return ExitCode::FAILURE;
-        }
-    };
-    // Zero means default, out-of-domain values are refused outright — the
-    // exact resolution serve's `consolidation` requests go through.
-    let (vms, destroys, forks) =
-        match resolve_mix(opts.vms, opts.churn_destroys, opts.churn_forks) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("consolidation-sweep: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-    let churn = if opts.no_churn { None } else { Some((destroys, forks)) };
-    let rungs: Vec<u32> =
-        if opts.vms == 0 { consolidation_ladder().to_vec() } else { vec![vms] };
-
-    let (mut jobs, vms_of) = consolidation_jobs(&rungs, churn, &opts);
-    if opts.trace_cache {
-        let store = match open_store(&opts.trace_cache_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        share_traces_with_store(&mut jobs, store.as_ref());
+/// `pomtlb consolidation-sweep` output: all four schemes across a
+/// tenant-count ladder (or one `--vms` rung) under lifecycle churn, with
+/// per-tenant p50/p99 tail latency and Eq. (1) set-index dispersion.
+fn print_consolidation_rows(request: &ResolvedRequest, rows: &[Row], json: bool) -> bool {
+    let rows: Vec<ConsolidationRow> = rows.iter().map(ConsolidationRow::from).collect();
+    if json {
+        return print_json(&rows);
     }
-    let rows: Vec<ConsolidationRow> = run_jobs(jobs, opts.jobs)
-        .into_iter()
-        .zip(vms_of)
-        .map(|(res, vms)| ConsolidationRow::from_report(vms, &res.report))
-        .collect();
-
-    let deterministic =
-        !opts.assert_determinism || consolidation_is_deterministic(&rungs, churn, &opts);
-
-    if opts.json {
-        match serde_json::to_string_pretty(&rows) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("cannot serialize consolidation rows: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
+    let churn = request.tenants.and_then(|t| t.churn);
+    let (destroys, forks) = churn.unwrap_or((0.0, 0.0));
+    println!(
+        "consolidation sweep, {} cores, churn {}: destroys {destroys:.2}/10k forks {forks:.2}/10k",
+        request.cores,
+        if churn.is_some() { "on" } else { "off" },
+    );
+    println!(
+        "{:>7} {:>12} {:>10} {:>11} {:>8} {:>10} {:>10} {:>9} {:>8} {:>11}",
+        "vms",
+        "scheme",
+        "p_avg",
+        "dispersion",
+        "tenants",
+        "med_p99",
+        "worst_p99",
+        "destroys",
+        "reboots",
+        "fork_remaps"
+    );
+    for row in &rows {
         println!(
-            "consolidation sweep, {} cores, churn {}: destroys {:.2}/10k forks {:.2}/10k",
-            opts.cores,
-            if churn.is_some() { "on" } else { "off" },
-            if churn.is_some() { destroys } else { 0.0 },
-            if churn.is_some() { forks } else { 0.0 },
+            "{:>7} {:>12} {:>10.1} {:>11.4} {:>8} {:>10} {:>10} {:>9} {:>8} {:>11}",
+            row.vms,
+            row.scheme,
+            row.p_avg,
+            row.dispersion,
+            row.measured_tenants,
+            row.median_p99,
+            row.worst_p99,
+            row.destroys,
+            row.reboots,
+            row.fork_remaps,
         );
-        println!(
-            "{:>7} {:>12} {:>10} {:>11} {:>8} {:>10} {:>10} {:>9} {:>8} {:>11}",
-            "vms",
-            "scheme",
-            "p_avg",
-            "dispersion",
-            "tenants",
-            "med_p99",
-            "worst_p99",
-            "destroys",
-            "reboots",
-            "fork_remaps"
-        );
-        for row in &rows {
-            println!(
-                "{:>7} {:>12} {:>10.1} {:>11.4} {:>8} {:>10} {:>10} {:>9} {:>8} {:>11}",
-                row.vms,
-                row.scheme,
-                row.p_avg,
-                row.dispersion,
-                row.measured_tenants,
-                row.median_p99,
-                row.worst_p99,
-                row.destroys,
-                row.reboots,
-                row.fork_remaps,
-            );
-        }
     }
-    if deterministic {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    true
 }
 
 /// One row of the `fault-sweep` output: scheme × detection mode, with the
@@ -632,26 +534,15 @@ struct FaultRow {
     faults: FaultStats,
 }
 
-/// Builds the fault-sweep batch: every scheme × consistency {on, off},
-/// each armed with the same seeded fault plan. Returns the jobs and, per
-/// job, whether detection is on.
-fn fault_sweep_jobs(w: &PaperWorkload, opts: &Options) -> (Vec<SimJob>, Vec<bool>) {
-    let fault_cfg = FaultConfig { seed: opts.fault_seed, ..FaultConfig::default() };
-    let mut o = opts.clone();
-    if o.events == OsEventRates::default() {
-        o.events = fault_sweep_default_events();
-    }
-    let mut jobs = Vec::new();
-    let mut detect = Vec::new();
-    for consistency in [true, false] {
-        for scheme in [Scheme::Baseline, Scheme::SharedL2, Scheme::Tsb, Scheme::pom_tlb()] {
-            let mut job = job_for(w, scheme, &o).with_faults(fault_cfg);
-            job.check_consistency = Some(consistency);
-            jobs.push(job);
-            detect.push(consistency);
+impl From<&Row<'_>> for FaultRow {
+    fn from(row: &Row) -> Self {
+        FaultRow {
+            scheme: row.report.scheme.label().to_string(),
+            consistency: row.meta.consistency == Some(true),
+            p_avg: row.report.p_avg(),
+            faults: row.report.faults,
         }
     }
-    (jobs, detect)
 }
 
 /// The invariants `--assert-detection` turns into the exit code: with
@@ -682,153 +573,147 @@ fn fault_rows_hold_invariants(rows: &[FaultRow]) -> bool {
     ok
 }
 
-/// `pomtlb fault-sweep`: every scheme with and without the consistency
-/// machinery, under one seeded fault plan, reporting detection coverage,
-/// latency and wrong-translation escapes.
-fn run_fault_sweep(args: &[String]) -> ExitCode {
-    let opts = match parse(args) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("{e}\n");
-            help();
-            return ExitCode::FAILURE;
-        }
-    };
-    let name = opts.workload.clone().unwrap_or_else(|| "gups".to_string());
-    let Some(w) = by_name(&name) else {
-        eprintln!("unknown workload `{name}`; known: {}", names().join(" "));
-        return ExitCode::FAILURE;
-    };
-
-    let (mut jobs, detect) = fault_sweep_jobs(&w, &opts);
-    if opts.trace_cache {
-        // All rows consume one recording: the fault plan perturbs served
-        // translations, never the input stream.
-        let store = match open_store(&opts.trace_cache_dir) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("{e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        share_traces_with_store(&mut jobs, store.as_ref());
+/// `pomtlb fault-sweep` output: every scheme with and without the
+/// consistency machinery, under one seeded fault plan, with detection
+/// coverage, latency and wrong-translation escapes.
+fn print_fault_rows(request: &ResolvedRequest, rows: &[FaultRow], json: bool) -> bool {
+    if json {
+        return print_json(rows);
     }
-    let rows: Vec<FaultRow> = run_jobs(jobs, opts.jobs)
-        .into_iter()
-        .zip(detect)
-        .map(|(res, consistency)| {
-            let r = res.report;
-            FaultRow {
-                scheme: r.scheme.label().to_string(),
-                consistency,
-                p_avg: r.p_avg(),
-                faults: r.faults,
-            }
-        })
-        .collect();
+    let w = paper_workload(request);
+    println!(
+        "workload {} ({:?}), {} cores: fault sweep (fault seed {:#x})",
+        w.name, w.suite, request.cores, request.fault_seed
+    );
+    println!(
+        "{:>12} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10} {:>12} {:>10}",
+        "scheme",
+        "detect",
+        "injected",
+        "detected",
+        "escapes",
+        "faults",
+        "dormant",
+        "lat(refs)",
+        "repair(cyc)",
+        "p_avg"
+    );
+    for row in rows {
+        let f = &row.faults;
+        println!(
+            "{:>12} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10.1} {:>12} {:>10.1}",
+            row.scheme,
+            if row.consistency { "on" } else { "off" },
+            f.injected_total(),
+            f.detected_total,
+            f.escapes,
+            f.escaped_faults,
+            f.dormant,
+            f.mean_detection_latency_refs(),
+            f.repair_penalty.raw(),
+            row.p_avg,
+        );
+    }
+    true
+}
 
-    if opts.json {
-        match serde_json::to_string_pretty(&rows) {
-            Ok(s) => println!("{s}"),
-            Err(e) => {
-                eprintln!("cannot serialize fault-sweep rows: {e}");
-                return ExitCode::FAILURE;
+/// The actions `trace-store` and `report-store` share.
+enum StoreAction {
+    Stats,
+    Verify,
+    Gc,
+}
+
+/// A parsed `trace-store` / `report-store` command line.
+struct StoreArgs {
+    action: StoreAction,
+    dir: String,
+    max_bytes: Option<u64>,
+}
+
+/// Parses `stats|verify|gc --dir DIR [--max-mb N]` for `command`; `Err` is
+/// the refusal to print.
+fn parse_store(command: &str, args: &[String]) -> Result<StoreArgs, String> {
+    let mut action = None;
+    let mut dir = None;
+    let mut max_bytes = None;
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            "stats" if action.is_none() => action = Some(StoreAction::Stats),
+            "verify" if action.is_none() => action = Some(StoreAction::Verify),
+            "gc" if action.is_none() => action = Some(StoreAction::Gc),
+            "--dir" => dir = Some(it.next().ok_or("--dir needs a directory")?.clone()),
+            "--max-mb" => {
+                let mb = it.next().and_then(|v| num(v).ok()).ok_or("--max-mb needs a number")?;
+                max_bytes = Some(mb.saturating_mul(1 << 20));
+            }
+            other => {
+                return Err(format!(
+                    "unknown {command} argument `{other}`\n\
+                     usage: pomtlb {command} stats|verify|gc --dir DIR [--max-mb N]"
+                ));
             }
         }
+    }
+    let action = action.ok_or_else(|| format!("{command} needs an action: stats | verify | gc"))?;
+    let dir = dir.ok_or_else(|| format!("{command} needs --dir DIR"))?;
+    Ok(StoreArgs { action, dir, max_bytes })
+}
+
+/// `verify`: one line per body and a total; exit code 1 if any is
+/// defective. `noun` names the bodies ("recording(s)", "body(ies)").
+fn print_verify(entries: &[VerifyEntry], noun: &str) -> ExitCode {
+    let mut bad = 0usize;
+    for e in entries {
+        match &e.error {
+            None => println!("OK    {} ({} bytes)", e.digest, e.bytes),
+            Some(err) => {
+                bad += 1;
+                println!("FAIL  {} ({} bytes): {err}", e.digest, e.bytes);
+            }
+        }
+    }
+    println!("{} {noun}, {} defective", entries.len(), bad);
+    if bad > 0 {
+        ExitCode::FAILURE
     } else {
-        println!(
-            "workload {} ({:?}), {} cores: fault sweep (fault seed {:#x})",
-            w.name, w.suite, opts.cores, opts.fault_seed
-        );
-        println!(
-            "{:>12} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10} {:>12} {:>10}",
-            "scheme",
-            "detect",
-            "injected",
-            "detected",
-            "escapes",
-            "faults",
-            "dormant",
-            "lat(refs)",
-            "repair(cyc)",
-            "p_avg"
-        );
-        for row in &rows {
-            let f = &row.faults;
-            println!(
-                "{:>12} {:>7} {:>9} {:>9} {:>8} {:>8} {:>8} {:>10.1} {:>12} {:>10.1}",
-                row.scheme,
-                if row.consistency { "on" } else { "off" },
-                f.injected_total(),
-                f.detected_total,
-                f.escapes,
-                f.escaped_faults,
-                f.dormant,
-                f.mean_detection_latency_refs(),
-                f.repair_penalty.raw(),
-                row.p_avg,
-            );
-        }
+        ExitCode::SUCCESS
     }
-    if opts.assert_detection && !fault_rows_hold_invariants(&rows) {
-        return ExitCode::FAILURE;
+}
+
+/// `gc`: one line per evicted body and what is left.
+fn print_gc(report: &GcReport, max_bytes: u64, noun: &str) -> ExitCode {
+    for (digest, bytes) in &report.evicted {
+        println!("evicted {digest} ({bytes} bytes)");
     }
+    println!(
+        "{} {noun} evicted, {} bytes live (cap {max_bytes} bytes)",
+        report.evicted.len(),
+        report.live_bytes,
+    );
     ExitCode::SUCCESS
 }
 
 /// `pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]` — inspect,
 /// integrity-check, or trim a persistent POMTRC2 recording store.
 fn run_trace_store(args: &[String]) -> ExitCode {
-    let mut action: Option<String> = None;
-    let mut dir: Option<String> = None;
-    let mut max_mb: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "stats" | "verify" | "gc" if action.is_none() => action = Some(a.clone()),
-            "--dir" => match it.next() {
-                Some(v) => dir = Some(v.clone()),
-                None => {
-                    eprintln!("--dir needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-mb" => match it.next().map(|v| num(v)) {
-                Some(Ok(n)) => max_mb = Some(n),
-                _ => {
-                    eprintln!("--max-mb needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown trace-store argument `{other}`");
-                eprintln!("usage: pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(action) = action else {
-        eprintln!("trace-store needs an action: stats | verify | gc");
-        return ExitCode::FAILURE;
-    };
-    let Some(dir) = dir else {
-        eprintln!("trace-store needs --dir DIR");
-        return ExitCode::FAILURE;
-    };
-    let store = match TraceStore::open(&dir) {
-        Ok(s) => s,
+    let opened = parse_store("trace-store", args).and_then(|a| {
+        let store = TraceStore::open(&a.dir)
+            .map_err(|e| format!("cannot open trace store {}: {e}", a.dir))?;
+        Ok((a.action, match a.max_bytes { Some(b) => store.with_max_bytes(b), None => store }))
+    });
+    let (action, store) = match opened {
+        Ok(opened) => opened,
         Err(e) => {
-            eprintln!("cannot open trace store {dir}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let store = match max_mb {
-        Some(mb) => store.with_max_bytes(mb.saturating_mul(1 << 20)),
-        None => store,
-    };
-
-    match action.as_str() {
-        "stats" => {
+    match action {
+        StoreAction::Verify => print_verify(&store.verify(), "recording(s)"),
+        StoreAction::Gc => print_gc(&store.gc(), store.max_bytes(), "recording(s)"),
+        StoreAction::Stats => {
             let entries = store.entries();
             println!(
                 "trace store {}: {} recording(s), {} bytes (cap {} bytes)",
@@ -857,96 +742,29 @@ fn run_trace_store(args: &[String]) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "verify" => {
-            let entries = store.verify();
-            let mut bad = 0usize;
-            for e in &entries {
-                match &e.error {
-                    None => println!("OK    {} ({} bytes)", e.digest, e.bytes),
-                    Some(err) => {
-                        bad += 1;
-                        println!("FAIL  {} ({} bytes): {err}", e.digest, e.bytes);
-                    }
-                }
-            }
-            println!("{} recording(s), {} defective", entries.len(), bad);
-            if bad > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "gc" => {
-            let report = store.gc();
-            for (digest, bytes) in &report.evicted {
-                println!("evicted {digest} ({bytes} bytes)");
-            }
-            println!(
-                "{} recording(s) evicted, {} bytes live (cap {} bytes)",
-                report.evicted.len(),
-                report.live_bytes,
-                store.max_bytes(),
-            );
-            ExitCode::SUCCESS
-        }
-        _ => unreachable!("actions are validated above"),
     }
 }
 
 /// `pomtlb report-store stats|verify|gc --dir DIR [--max-mb N]` — inspect,
 /// integrity-check, or trim a store of memoized serve response bodies
-/// (POMREP1 files), mirroring `trace-store`'s actions.
+/// (POMREP1 files), with `trace-store`'s actions.
 fn run_report_store(args: &[String]) -> ExitCode {
-    let mut action: Option<String> = None;
-    let mut dir: Option<String> = None;
-    let mut max_mb: Option<u64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "stats" | "verify" | "gc" if action.is_none() => action = Some(a.clone()),
-            "--dir" => match it.next() {
-                Some(v) => dir = Some(v.clone()),
-                None => {
-                    eprintln!("--dir needs a directory");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--max-mb" => match it.next().map(|v| num(v)) {
-                Some(Ok(n)) => max_mb = Some(n),
-                _ => {
-                    eprintln!("--max-mb needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("unknown report-store argument `{other}`");
-                eprintln!("usage: pomtlb report-store stats|verify|gc --dir DIR [--max-mb N]");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let Some(action) = action else {
-        eprintln!("report-store needs an action: stats | verify | gc");
-        return ExitCode::FAILURE;
-    };
-    let Some(dir) = dir else {
-        eprintln!("report-store needs --dir DIR");
-        return ExitCode::FAILURE;
-    };
-    let store = match ReportStore::open(&dir) {
-        Ok(s) => s,
+    let opened = parse_store("report-store", args).and_then(|a| {
+        let store = ReportStore::open(&a.dir)
+            .map_err(|e| format!("cannot open report store {}: {e}", a.dir))?;
+        Ok((a.action, match a.max_bytes { Some(b) => store.with_max_bytes(b), None => store }))
+    });
+    let (action, store) = match opened {
+        Ok(opened) => opened,
         Err(e) => {
-            eprintln!("cannot open report store {dir}: {e}");
+            eprintln!("{e}");
             return ExitCode::FAILURE;
         }
     };
-    let store = match max_mb {
-        Some(mb) => store.with_max_bytes(mb.saturating_mul(1 << 20)),
-        None => store,
-    };
-
-    match action.as_str() {
-        "stats" => {
+    match action {
+        StoreAction::Verify => print_verify(&store.verify(), "body(ies)"),
+        StoreAction::Gc => print_gc(&store.gc(), store.max_bytes(), "body(ies)"),
+        StoreAction::Stats => {
             let entries = store.entries();
             println!(
                 "report store {}: {} memoized body(ies), {} bytes (cap {} bytes)",
@@ -1010,39 +828,6 @@ fn run_report_store(args: &[String]) -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "verify" => {
-            let entries = store.verify();
-            let mut bad = 0usize;
-            for e in &entries {
-                match &e.error {
-                    None => println!("OK    {} ({} bytes)", e.digest, e.bytes),
-                    Some(err) => {
-                        bad += 1;
-                        println!("FAIL  {} ({} bytes): {err}", e.digest, e.bytes);
-                    }
-                }
-            }
-            println!("{} body(ies), {} defective", entries.len(), bad);
-            if bad > 0 {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        "gc" => {
-            let report = store.gc();
-            for (digest, bytes) in &report.evicted {
-                println!("evicted {digest} ({bytes} bytes)");
-            }
-            println!(
-                "{} body(ies) evicted, {} bytes live (cap {} bytes)",
-                report.evicted.len(),
-                report.live_bytes,
-                store.max_bytes(),
-            );
-            ExitCode::SUCCESS
-        }
-        _ => unreachable!("actions are validated above"),
     }
 }
 
@@ -1180,33 +965,27 @@ struct ClientArgs {
 
 fn parse_client(args: &[String]) -> Result<ClientArgs, String> {
     let mut addr: Option<String> = None;
-    let mut deadline_ms = 0u64;
-    let mut max_retries = 8u32;
-    let mut backoff_base_ms = 25u64;
-    let mut backoff_cap_ms = 1000u64;
-    let mut seed = 0x5eedu64;
+    let mut cfg = pomtlb_serve::ClientConfig::new(String::new());
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut value = |flag: &str| -> Result<String, String> {
             it.next().cloned().ok_or_else(|| format!("{flag} needs a value"))
         };
+        let millis = |v: String| num(&v).map(std::time::Duration::from_millis);
         match a.as_str() {
             "--tcp" => addr = Some(value("--tcp")?),
-            "--deadline-ms" => deadline_ms = num(&value("--deadline-ms")?)?,
-            "--max-retries" => max_retries = num_u32(&value("--max-retries")?)?,
-            "--backoff-base-ms" => backoff_base_ms = num(&value("--backoff-base-ms")?)?,
-            "--backoff-cap-ms" => backoff_cap_ms = num(&value("--backoff-cap-ms")?)?,
-            "--seed" => seed = num(&value("--seed")?)?,
+            "--deadline-ms" => {
+                let deadline = millis(value("--deadline-ms")?)?;
+                cfg.deadline = (!deadline.is_zero()).then_some(deadline);
+            }
+            "--max-retries" => cfg.max_retries = num_u32(&value("--max-retries")?)?,
+            "--backoff-base-ms" => cfg.backoff_base = millis(value("--backoff-base-ms")?)?,
+            "--backoff-cap-ms" => cfg.backoff_cap = millis(value("--backoff-cap-ms")?)?,
+            "--seed" => cfg.seed = num(&value("--seed")?)?,
             other => return Err(format!("unknown client flag `{other}`")),
         }
     }
-    let addr = addr.ok_or_else(|| "client needs --tcp HOST:PORT".to_string())?;
-    let mut cfg = pomtlb_serve::ClientConfig::new(addr);
-    cfg.deadline = (deadline_ms > 0).then(|| std::time::Duration::from_millis(deadline_ms));
-    cfg.max_retries = max_retries;
-    cfg.backoff_base = std::time::Duration::from_millis(backoff_base_ms);
-    cfg.backoff_cap = std::time::Duration::from_millis(backoff_cap_ms);
-    cfg.seed = seed;
+    cfg.addr = addr.ok_or_else(|| "client needs --tcp HOST:PORT".to_string())?;
     Ok(ClientArgs { cfg })
 }
 
@@ -1351,26 +1130,25 @@ fn run_chaos_proxy(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn emit(w: &PaperWorkload, reports: &[SimReport], o: &Options) {
-    if o.json {
-        let value = serde_json::json!({
+/// `sim` and `compare` output: the reports in full (`--json`) or one line
+/// per scheme.
+fn emit(request: &ResolvedRequest, rows: &[Row], json: bool) -> bool {
+    let w = paper_workload(request);
+    let reports: Vec<&SimReport> = rows.iter().map(|row| &row.report).collect();
+    if json {
+        return print_json(&serde_json::json!({
             "workload": w.name,
             "suite": format!("{:?}", w.suite),
             "table2": w.table2,
             "reports": reports,
-        });
-        match serde_json::to_string_pretty(&value) {
-            Ok(s) => println!("{s}"),
-            Err(e) => eprintln!("cannot serialize reports: {e}"),
-        }
-        return;
+        }));
     }
     println!(
         "workload {} ({:?}), {} cores, {} refs/core",
         w.name,
         w.suite,
         reports[0].n_cores,
-        o.refs
+        request.sim.refs_per_core
     );
     println!(
         "{:>12} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9}",
@@ -1398,6 +1176,7 @@ fn emit(w: &PaperWorkload, reports: &[SimReport], o: &Options) {
             );
         }
     }
+    true
 }
 
 fn list() {
@@ -1423,7 +1202,8 @@ USAGE:
   pomtlb sim             --workload NAME [flags]   one scheme, full report
   pomtlb compare         --workload NAME [flags]   all four schemes side by side
   pomtlb shootdown-sweep --workload NAME [flags]   0/1/10 unmaps per 10k refs
-                                                   x all four schemes
+                                                   x all four schemes (sets
+                                                   the event rates itself)
   pomtlb consolidation-sweep [flags]               multi-tenant consolidation:
                                                    all four schemes across a
                                                    100/1000/10000-VM ladder
@@ -1431,7 +1211,9 @@ USAGE:
                                                    lifecycle churn, reporting
                                                    per-tenant p50/p99 tail
                                                    latency and Eq. (1)
-                                                   set-index dispersion
+                                                   set-index dispersion (no
+                                                   --workload, no
+                                                   --*-per-10k flags)
   pomtlb fault-sweep    [--workload NAME] [flags]  seeded fault injection x
                                                    all four schemes, with the
                                                    consistency machinery on
@@ -1517,11 +1299,11 @@ USAGE:
 
 FLAGS:
   --scheme S        baseline | pom-tlb | pom-uncached | shared-l2 | tsb
-  --cores N         simulated cores (default 8)
-  --refs N          post-warmup references per core (default 40000)
-  --warmup N        warmup references per core (default 15000)
-  --seed N          RNG seed
-  --capacity-mb N   POM-TLB capacity (default 16)
+  --cores N         simulated cores (default {DEFAULT_CORES})
+  --refs N          post-warmup references per core (default {DEFAULT_REFS})
+  --warmup N        warmup references per core (default {DEFAULT_WARMUP})
+  --seed N          RNG seed (default {DEFAULT_SEED:#x})
+  --capacity-mb N   POM-TLB capacity (default {DEFAULT_CAPACITY_MB})
   --native          bare-metal 1-D walks instead of virtualized 2-D
   --no-prepopulate  cold-start in-DRAM structures
   --unmaps-per-10k X      page-unmap events per 10k refs per core
@@ -1545,16 +1327,16 @@ FLAGS:
                           serially and pooled over a shared recorded
                           trace (for CI)
   --fault-seed N    RNG seed for fault-sweep's injection plan
-                    (default 0x5eed)
+                    (default {DEFAULT_FAULT_SEED:#x})
   --assert-detection      fault-sweep exits nonzero unless consistency-on
                           rows show zero escapes and POM-TLB detects
                           injected faults (for CI)
   --jobs N          worker threads for batched commands (compare and
                     the three sweeps); `auto` = all cores. Output is
                     byte-identical to --jobs 1 (default)
-  --trace-cache     batched commands record each input stream once and
-                    replay it to every scheme instead of regenerating it
-                    per run. Output is byte-identical either way
+  --trace-cache     simulation commands record each input stream once
+                    and replay it to every scheme instead of regenerating
+                    it per run. Output is byte-identical either way
   --trace-cache-dir DIR   persist those recordings to a POMTRC2 store at
                     DIR (implies --trace-cache); later invocations replay
                     them from disk. Damaged files fall back to live
@@ -1566,48 +1348,61 @@ FLAGS:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pomtlb_serve::RequestKind;
+
+    fn args(flags: &[&str]) -> Vec<String> {
+        flags.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// The resolve step of a command line, taken as `fault-sweep` (the one
+    /// workload command that needs no flags).
+    fn resolve(flags: &[&str]) -> Result<ResolvedRequest, String> {
+        Ok(Command::FaultSweep.resolve(&parse(&args(flags))?.request)?.remove(0))
+    }
+
+    /// `command` on `flags`: resolved and run through the CLI's batch path.
+    fn run_rows(command: Command, flags: &[&str]) -> Vec<(RowMeta, SimReport)> {
+        let o = parse(&args(flags)).expect("flags parse");
+        let requests = command.resolve(&o.request).expect("flags resolve");
+        let rows = run_batch(&requests, &o).expect("batch runs");
+        rows.into_iter().map(|row| (row.meta, row.report)).collect()
+    }
 
     #[test]
     fn parse_defaults() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.cores, 8);
-        assert!(o.prepopulate);
+        assert_eq!(o.request.cores, 8);
+        assert!(!o.request.no_prepopulate);
         assert!(!o.json);
     }
 
     #[test]
     fn parse_full_flag_set() {
-        let args: Vec<String> = [
+        let o = parse(&args(&[
             "--workload", "mcf", "--scheme", "tsb", "--cores", "4", "--refs", "100",
             "--warmup", "50", "--seed", "9", "--capacity-mb", "8", "--native",
             "--no-prepopulate", "--json",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse(&args).unwrap();
-        assert_eq!(o.workload.as_deref(), Some("mcf"));
-        assert_eq!(o.scheme, Scheme::Tsb);
-        assert_eq!(o.cores, 4);
-        assert_eq!(o.refs, 100);
-        assert_eq!(o.capacity_mb, 8);
-        assert!(o.native && !o.prepopulate && o.json);
+        ]))
+        .unwrap();
+        assert_eq!(o.request.workload, "mcf");
+        assert_eq!(parse_scheme(&o.request.scheme), Ok(Scheme::Tsb));
+        assert_eq!(o.request.cores, 4);
+        assert_eq!(o.request.refs, 100);
+        assert_eq!(o.request.capacity_mb, 8);
+        assert!(o.request.native && o.request.no_prepopulate && o.json);
     }
 
     #[test]
     fn parse_event_flags() {
-        let args: Vec<String> = [
+        let o = parse(&args(&[
             "--unmaps-per-10k", "10", "--migrations-per-10k", "0.5", "--check-consistency",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse(&args).unwrap();
-        assert_eq!(o.events.unmaps, 10.0);
-        assert_eq!(o.events.migrations, 0.5);
-        assert!(o.check_consistency);
+        ]))
+        .unwrap();
+        assert_eq!(o.request.unmaps_per_10k, 10.0);
+        assert_eq!(o.request.migrations_per_10k, 0.5);
+        assert!(o.request.check_consistency);
         // Negative rates are rejected by validation.
-        assert!(parse(&["--unmaps-per-10k".into(), "-1".into()]).is_err());
+        assert!(resolve(&["--unmaps-per-10k", "-1"]).is_err());
     }
 
     #[test]
@@ -1636,26 +1431,23 @@ mod tests {
     #[test]
     fn parse_consolidation_flags() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.vms, 0, "zero means the full ladder");
-        assert_eq!(o.churn_destroys, 0.0);
-        assert_eq!(o.churn_forks, 0.0);
-        assert!(!o.no_churn && !o.assert_determinism);
+        assert_eq!(o.request.vms, 0, "zero means the full ladder");
+        assert_eq!(o.request.churn_destroys_per_10k, 0.0);
+        assert_eq!(o.request.churn_forks_per_10k, 0.0);
+        assert!(!o.request.no_churn && !o.assert_determinism);
 
-        let args: Vec<String> = [
+        let o = parse(&args(&[
             "--vms", "250", "--churn-destroys-per-10k", "2.5", "--churn-forks-per-10k",
             "0.25", "--no-churn", "--assert-determinism",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let o = parse(&args).unwrap();
-        assert_eq!(o.vms, 250);
-        assert_eq!(o.churn_destroys, 2.5);
-        assert_eq!(o.churn_forks, 0.25);
-        assert!(o.no_churn && o.assert_determinism);
+        ]))
+        .unwrap();
+        assert_eq!(o.request.vms, 250);
+        assert_eq!(o.request.churn_destroys_per_10k, 2.5);
+        assert_eq!(o.request.churn_forks_per_10k, 0.25);
+        assert!(o.request.no_churn && o.assert_determinism);
         assert!(parse(&["--vms".into()]).is_err());
         // 2^32 + 50 is refused, not wrapped to a 50-VM run.
-        assert_eq!(parse(&["--vms".into(), "4294967295".into()]).unwrap().vms, u32::MAX);
+        assert_eq!(parse(&["--vms".into(), "4294967295".into()]).unwrap().request.vms, u32::MAX);
         assert!(parse(&["--vms".into(), "4294967346".into()]).is_err());
     }
 
@@ -1663,53 +1455,58 @@ mod tests {
     fn consolidation_resolution_is_validation_not_clamping() {
         // The CLI shares serve's resolver: zero falls back to defaults,
         // out-of-domain values error instead of being silently clamped.
-        assert!(resolve_mix(0, 0.0, 0.0).is_ok());
-        assert!(resolve_mix(70_000, 0.0, 0.0).is_err());
-        assert!(resolve_mix(100, -0.5, 0.0).is_err());
+        let sweep =
+            |flags: &[&str]| Command::ConsolidationSweep.resolve(&parse(&args(flags))?.request);
+        assert!(sweep(&[]).is_ok());
+        assert!(sweep(&["--vms", "70000"]).is_err());
+        assert!(sweep(&["--vms", "100", "--churn-destroys-per-10k", "-0.5"]).is_err());
     }
 
     #[test]
     fn consolidation_jobs_cover_the_ladder_by_scheme() {
-        let o = Options { cores: 2, refs: 500, warmup: 100, ..Default::default() };
-        let (jobs, vms_of) = consolidation_jobs(&[100, 1_000], Some((0.5, 1.0)), &o);
+        let o = parse(&args(&["--cores", "2", "--refs", "500", "--warmup", "100"])).unwrap();
+        let ladder = Command::ConsolidationSweep.resolve(&o.request).unwrap();
+        let (jobs, rows) = batch(&ladder[..2]);
         assert_eq!(jobs.len(), 8, "two rungs x four schemes");
+        let vms_of: Vec<u32> = rows.iter().map(|(r, _)| r.tenants.map_or(0, |t| t.vms)).collect();
         assert_eq!(vms_of, [100, 100, 100, 100, 1_000, 1_000, 1_000, 1_000]);
     }
 
     #[test]
     fn consolidation_smoke_is_deterministic() {
-        let o = Options { cores: 2, refs: 700, warmup: 200, jobs: 2, ..Default::default() };
-        assert!(consolidation_is_deterministic(&[30], Some((10.0, 5.0)), &o));
-    }
-
-    fn args(flags: &[&str]) -> Vec<String> {
-        flags.iter().map(|s| s.to_string()).collect()
+        let flags = [
+            "--vms", "30", "--churn-destroys-per-10k", "10", "--churn-forks-per-10k", "5",
+            "--cores", "2", "--refs", "700", "--warmup", "200", "--jobs", "2",
+        ];
+        let o = parse(&args(&flags)).unwrap();
+        let requests = Command::ConsolidationSweep.resolve(&o.request).unwrap();
+        assert!(consolidation_is_deterministic(&requests, o.jobs));
     }
 
     #[test]
     fn parse_rejects_a_non_power_of_two_capacity() {
-        let err = parse(&args(&["--capacity-mb", "5"])).expect_err("5 MB is no POM-TLB geometry");
+        let err = resolve(&["--capacity-mb", "5"]).expect_err("5 MB is no POM-TLB geometry");
         assert_eq!(err, pomtlb_serve::EnvelopeError::CapacityMb(5).to_string());
-        assert!(parse(&args(&["--capacity-mb", "2048"])).is_err());
-        assert_eq!(parse(&args(&["--capacity-mb", "32"])).unwrap().capacity_mb, 32);
+        assert!(resolve(&["--capacity-mb", "2048"]).is_err());
+        assert_eq!(resolve(&["--capacity-mb", "32"]).unwrap().capacity_mb, 32);
     }
 
     #[test]
     fn parse_rejects_cores_outside_the_envelope() {
-        let err = parse(&args(&["--cores", "0"])).expect_err("a machine needs a core");
+        let err = resolve(&["--cores", "0"]).expect_err("a machine needs a core");
         assert_eq!(err, pomtlb_serve::EnvelopeError::Cores(0).to_string());
-        assert!(parse(&args(&["--cores", "65"])).is_err());
-        assert_eq!(parse(&args(&["--cores", "64"])).unwrap().cores, 64);
+        assert!(resolve(&["--cores", "65"]).is_err());
+        assert_eq!(resolve(&["--cores", "64"]).unwrap().cores, 64);
     }
 
     #[test]
     fn parse_rejects_an_overflowing_reference_budget() {
-        let err = parse(&args(&["--refs", "18446744073709551615"]))
+        let err = resolve(&["--refs", "18446744073709551615"])
             .expect_err("warmup + refs overflows");
         let budget =
             pomtlb_serve::EnvelopeError::Budget { warmup: 15_000, refs: u64::MAX, cores: 8 };
         assert_eq!(err, budget.to_string());
-        assert!(parse(&args(&["--cores", "64", "--refs", "1152921504606846976"])).is_err());
+        assert!(resolve(&["--cores", "64", "--refs", "1152921504606846976"]).is_err());
     }
 
     #[test]
@@ -1727,11 +1524,14 @@ mod tests {
         assert!(parse_scheme("nope").is_err());
     }
 
+
     #[test]
     fn simulate_smoke() {
-        let w = by_name("streamcluster").unwrap();
-        let o = Options { cores: 2, refs: 1_000, warmup: 300, ..Default::default() };
-        let r = simulate(&w, Scheme::pom_tlb(), &o);
+        let rows = run_rows(
+            Command::Sim,
+            &["--workload", "streamcluster", "--cores", "2", "--refs", "1000", "--warmup", "300"],
+        );
+        let r = &rows[0].1;
         assert!(r.refs > 0);
         assert!(r.walks_eliminated() > 0.9);
     }
@@ -1743,16 +1543,13 @@ mod tests {
         assert!(p.cfg.trace_dir.is_none() && p.cfg.report_dir.is_none());
         assert_eq!(p.cfg.jobs, 0, "auto worker count");
 
-        let args: Vec<String> = [
+        let p = parse_serve(&args(&[
             "--socket", "/tmp/pomtlb.sock", "--trace-cache-dir", "/tmp/traces",
             "--report-dir", "/tmp/reports", "--report-max-mb", "4", "--jobs", "2",
             "--max-connections", "9", "--max-inflight", "3", "--max-queue", "7",
             "--hot-cache-mb", "8",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let p = parse_serve(&args).unwrap();
+        ]))
+        .unwrap();
         assert_eq!(p.socket.as_deref(), Some("/tmp/pomtlb.sock"));
         assert_eq!(p.cfg.trace_dir.as_deref(), Some(std::path::Path::new("/tmp/traces")));
         assert_eq!(p.cfg.report_dir.as_deref(), Some(std::path::Path::new("/tmp/reports")));
@@ -1781,15 +1578,12 @@ mod tests {
             std::time::Duration::from_secs(pomtlb_serve::DEFAULT_DRAIN_TIMEOUT_SECS)
         );
 
-        let args: Vec<String> = [
+        let p = parse_serve(&args(&[
             "--tcp", "127.0.0.1:7070", "--idle-timeout-secs", "30",
             "--drain-timeout-secs", "5", "--max-line-bytes", "4096",
             "--compute-deadline-ms", "1500",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let p = parse_serve(&args).unwrap();
+        ]))
+        .unwrap();
         assert_eq!(p.tcp.as_deref(), Some("127.0.0.1:7070"));
         assert_eq!(p.cfg.idle_timeout, Some(std::time::Duration::from_secs(30)));
         assert_eq!(p.cfg.drain_timeout, std::time::Duration::from_secs(5));
@@ -1820,14 +1614,11 @@ mod tests {
         assert!(p.cfg.deadline.is_none(), "no budget unless asked");
         assert_eq!(p.cfg.max_retries, 8);
 
-        let args: Vec<String> = [
+        let p = parse_client(&args(&[
             "--tcp", "h:1", "--deadline-ms", "2500", "--max-retries", "3",
             "--backoff-base-ms", "10", "--backoff-cap-ms", "200", "--seed", "42",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let p = parse_client(&args).unwrap();
+        ]))
+        .unwrap();
         assert_eq!(p.cfg.deadline, Some(std::time::Duration::from_millis(2500)));
         assert_eq!(p.cfg.max_retries, 3);
         assert_eq!(p.cfg.backoff_base, std::time::Duration::from_millis(10));
@@ -1845,49 +1636,42 @@ mod tests {
     #[test]
     fn parse_fault_flags() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.fault_seed, 0x5eed);
+        assert_eq!(o.request.fault_seed, 0x5eed);
         assert!(!o.assert_detection);
         let o = parse(&["--fault-seed".into(), "7".into(), "--assert-detection".into()]).unwrap();
-        assert_eq!(o.fault_seed, 7);
+        assert_eq!(o.request.fault_seed, 7);
         assert!(o.assert_detection);
         assert!(parse(&["--fault-seed".into(), "x".into()]).is_err());
     }
 
     #[test]
     fn fault_sweep_batch_covers_schemes_and_modes() {
-        let w = by_name("gups").unwrap();
-        let o = Options { cores: 2, refs: 1_000, warmup: 300, ..Default::default() };
-        let (jobs, detect) = fault_sweep_jobs(&w, &o);
+        let o = parse(&args(&["--cores", "2", "--refs", "1000", "--warmup", "300"])).unwrap();
+        let requests = Command::FaultSweep.resolve(&o.request).unwrap();
+        assert_eq!(requests[0].workload_name(), "gups", "fault-sweep defaults to gups");
+        let (jobs, rows) = batch(&requests);
         assert_eq!(jobs.len(), 8, "four schemes x consistency on/off");
-        assert_eq!(detect.iter().filter(|d| **d).count(), 4);
-        for (job, on) in jobs.iter().zip(&detect) {
+        assert_eq!(rows.iter().filter(|(_, m)| m.consistency == Some(true)).count(), 4);
+        for (job, (_, meta)) in jobs.iter().zip(&rows) {
             assert!(job.faults.is_some(), "every row is fault-armed");
-            assert_eq!(job.check_consistency, Some(*on));
+            assert_eq!(job.check_consistency, meta.consistency);
             assert!(job.spec.os_events.remaps > 0.0, "eventful default mix applied");
         }
     }
 
     #[test]
     fn fault_sweep_rows_respect_detection_mode() {
-        let w = by_name("gups").unwrap();
         // 50k total accesses: at the default per-10k rates the POM-TLB rows
         // apply some fault with near-certainty under the pinned seed. The
         // other machines have no POM-TLB array, so only dropped IPIs can
         // reach them, and on gups those rarely find a stale entry to leave.
-        let o = Options { cores: 2, refs: 20_000, warmup: 5_000, ..Default::default() };
-        let (jobs, detect) = fault_sweep_jobs(&w, &o);
-        let rows: Vec<FaultRow> = run_jobs(jobs, 2)
-            .into_iter()
-            .zip(detect)
-            .map(|(res, consistency)| {
-                let r = res.report;
-                FaultRow {
-                    scheme: r.scheme.label().to_string(),
-                    consistency,
-                    p_avg: r.p_avg(),
-                    faults: r.faults,
-                }
-            })
+        let flags = ["--workload", "gups", "--cores", "2", "--refs", "20000", "--warmup", "5000"];
+        let o = parse(&args(&flags)).unwrap();
+        let requests = Command::FaultSweep.resolve(&o.request).unwrap();
+        let rows: Vec<FaultRow> = run_batch(&requests, &Options { jobs: 2, ..o })
+            .unwrap()
+            .iter()
+            .map(FaultRow::from)
             .collect();
         // Structural guarantees at any run length: the detector never
         // lets a serve escape while on, and never claims detections while
@@ -1924,5 +1708,86 @@ mod tests {
         assert!(!fault_rows_hold_invariants(&detected_nothing));
         let no_escapes_off = vec![row(pom, true, 5, 0), row(pom, false, 0, 0)];
         assert!(!fault_rows_hold_invariants(&no_escapes_off));
+    }
+
+    #[test]
+    fn consolidation_sweep_refuses_a_workload_and_event_flags() {
+        let sweep = |flags: &[&str]| {
+            Command::ConsolidationSweep.resolve(&parse(&args(flags)).unwrap().request).unwrap_err()
+        };
+        assert!(sweep(&["--workload", "gups"]).contains("`workload`"), "the daemon's refusal");
+        for flag in ["--unmaps-per-10k", "--vm-destroys-per-10k"] {
+            assert!(sweep(&["--vms", "100", flag, "50"]).contains("knobs do not apply"), "{flag}");
+        }
+        let exit = run_simulation(&args(&["--workload", "gups"]), Command::ConsolidationSweep);
+        assert_eq!(exit, ExitCode::FAILURE);
+    }
+
+    #[test]
+    fn shootdown_sweep_refuses_event_flags_it_would_drop() {
+        let sweep =
+            |flags: &[&str]| Command::ShootdownSweep.resolve(&parse(&args(flags)).unwrap().request);
+        for flag in ["--unmaps", "--remaps", "--promotes", "--migrations", "--vm-destroys"] {
+            let err = sweep(&["--workload", "gups", &format!("{flag}-per-10k"), "1"]).unwrap_err();
+            assert!(err.contains("sets the unmap rate itself"), "{flag}: {err}");
+        }
+        // A bad value still gets its own refusal first.
+        let err = sweep(&["--workload", "gups", "--remaps-per-10k", "-1"]).unwrap_err();
+        assert!(err.contains("must be finite"), "{err}");
+        let flags = args(&["--workload", "gups", "--remaps-per-10k", "100"]);
+        assert_eq!(run_simulation(&flags, Command::ShootdownSweep), ExitCode::FAILURE);
+        // Without them the sweep is one compare request per unmap rate.
+        let requests = sweep(&["--workload", "gups"]).unwrap();
+        assert!(requests.iter().all(|r| r.kind == RequestKind::Compare));
+        let rates: Vec<f64> = requests.iter().map(|r| r.events.unmaps).collect();
+        assert_eq!(rates, [0.0, 1.0, 10.0]);
+    }
+
+    #[test]
+    fn cli_flags_are_literal_where_the_wire_means_default() {
+        let given = resolve(&["--warmup", "0", "--seed", "0", "--fault-seed", "0"]).unwrap();
+        assert_eq!((given.sim.warmup_per_core, given.sim.seed, given.fault_seed), (0, 0, 0));
+        let wire = r#"{"kind":"fault-sweep","workload":"gups","warmup":0,"seed":0}"#;
+        let wire = serde_json::from_str::<ServeRequest>(wire).unwrap().resolve().unwrap();
+        assert_eq!(wire.sim.warmup_per_core, DEFAULT_WARMUP);
+        assert_eq!((wire.sim.seed, wire.fault_seed), (DEFAULT_SEED, DEFAULT_FAULT_SEED));
+    }
+
+    /// What a storeless daemon answers `line` with: each row's JSON text.
+    fn daemon_rows(line: &str) -> Vec<String> {
+        let mut service = Service::new(ServeConfig::default()).expect("service starts");
+        let response = service.handle_line(line).expect("one response line");
+        let response: serde_json::Value = serde_json::from_str(&response).expect("JSON line");
+        match &response["body"]["rows"] {
+            serde_json::Value::Array(rows) => {
+                rows.iter().map(|row| serde_json::to_string(row).unwrap()).collect()
+            }
+            other => panic!("no rows in {response:?}: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn cli_and_daemon_build_the_same_rows() {
+        let budget = ["--cores", "2", "--refs", "3000", "--warmup", "1000"];
+        let cases = [
+            (Command::Compare, vec!["--workload", "mcf"], r#""kind":"compare","workload":"mcf""#),
+            (Command::FaultSweep, vec![], r#""kind":"fault-sweep","workload":"gups""#),
+            (Command::ConsolidationSweep, vec!["--vms", "8"], r#""kind":"consolidation","vms":8"#),
+        ];
+        for (command, flags, knobs) in cases {
+            let cli: Vec<String> = run_rows(command, &[&flags[..], &budget[..]].concat())
+                .iter()
+                .map(|(meta, report)| {
+                    let row = serde_json::json!({
+                        "scheme": meta.scheme.label(),
+                        "consistency": meta.consistency,
+                        "report": report,
+                    });
+                    serde_json::to_string(&row).unwrap()
+                })
+                .collect();
+            let line = format!(r#"{{{knobs},"cores":2,"refs":3000,"warmup":1000}}"#);
+            assert_eq!(cli, daemon_rows(&line), "{line}");
+        }
     }
 }

@@ -69,9 +69,9 @@ pub use report_store::{
     DEFAULT_REPORT_MAX_BYTES, REPORT_FORMAT_VERSION,
 };
 pub use request::{
-    check_envelope, fault_sweep_default_events, parse_scheme, request_bytes, request_digest,
-    EnvelopeError, RequestKind, ResolvedRequest, RowMeta, ServeRequest, TenantParams,
-    REQUEST_DIGEST_VERSION,
+    parse_scheme, request_bytes, request_digest, EnvelopeError, RequestKind, ResolvedRequest,
+    RowMeta, ServeRequest, TenantParams, DEFAULT_CAPACITY_MB, DEFAULT_CORES, DEFAULT_FAULT_SEED,
+    DEFAULT_REFS, DEFAULT_SEED, DEFAULT_WARMUP, REQUEST_DIGEST_VERSION,
 };
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosProxy};
 pub use client::{Client, ClientConfig, ClientCounters, ClientError};

@@ -58,6 +58,8 @@ use pomtlb_trace::manifest::{Manifest, Row};
 
 /// What one [`ReportStore::gc`] pass evicted (the shared manifest type).
 pub use pomtlb_trace::manifest::GcReport as ReportGcReport;
+/// Integrity-check result for one memoized body (the shared manifest type).
+pub use pomtlb_trace::manifest::VerifyEntry as ReportVerifyEntry;
 
 /// File magic for memoized response bodies.
 const REPORT_MAGIC: &[u8; 8] = b"POMREP1\n";
@@ -104,24 +106,6 @@ pub struct ReportEntry {
     pub bytes: u64,
     /// Unix seconds of last load or save (0 when unknown).
     pub last_used: u64,
-}
-
-/// Integrity-check result for one on-disk body.
-#[derive(Debug, Clone)]
-pub struct ReportVerifyEntry {
-    /// Request digest (the file stem).
-    pub digest: String,
-    /// File size in bytes.
-    pub bytes: u64,
-    /// `None` when the file passed every check, else the failure reason.
-    pub error: Option<String>,
-}
-
-impl ReportVerifyEntry {
-    /// Whether the body passed every check.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 /// Fixed columns first, the free-form kind and workload last.

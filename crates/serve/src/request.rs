@@ -2,7 +2,7 @@
 //!
 //! One request is one JSON object on one line. The wire shape is a flat
 //! struct with CLI-flag names, every knob optional (`0` / `false` / `""`
-//! means "default", matching the CLI's defaults), so
+//! means "default": the `DEFAULT_*` constants below), so
 //!
 //! ```json
 //! {"id":"c1","kind":"compare","workload":"gups","cores":2,"refs":5000}
@@ -34,6 +34,16 @@
 //! scheme set, POM-TLB capacity, walk mode, prepopulation, the
 //! consistency override, and the fault plan. Request `id`s are expressly
 //! *not* part of the digest — identity is semantic, not nominal.
+//!
+//! # One resolution, two front ends
+//!
+//! [`ServeRequest::resolve_given`] is the one path from knobs to a batch:
+//! the daemon, the benchmark and every CLI simulation command build their
+//! [`ResolvedRequest`] through it. Only the meaning of zero differs.
+//! On the wire a zero knob stands for its default, so
+//! [`ServeRequest::resolve`] substitutes the defaults first. The CLI keeps
+//! its flags literal (`--warmup 0` runs without warmup) and calls
+//! `resolve_given` directly.
 
 use pom_tlb::{FaultConfig, PomTlbConfig, Scheme, SimConfig, SimJob, SystemConfig};
 use pomtlb_tlb::WalkMode;
@@ -53,15 +63,27 @@ use serde::{Deserialize, Serialize};
 /// those machines lack, so a daemon must recompute them, not serve them.
 pub const REQUEST_DIGEST_VERSION: u32 = 3;
 
+/// Simulated cores when none are given.
+pub const DEFAULT_CORES: u64 = 8;
+/// Post-warmup references per core when none are given.
+pub const DEFAULT_REFS: u64 = 40_000;
+/// Warmup references per core when none are given.
+pub const DEFAULT_WARMUP: u64 = 15_000;
+/// Base RNG seed when none is given.
+pub const DEFAULT_SEED: u64 = 0x90af;
+/// POM-TLB capacity in MB when none is given.
+pub const DEFAULT_CAPACITY_MB: u64 = 16;
+/// Fault-plan seed for `fault-sweep` when none is given.
+pub const DEFAULT_FAULT_SEED: u64 = 0x5eed;
+
 /// Most simulated cores a request may ask for.
 const MAX_CORES: u64 = 64;
 
 /// Largest POM-TLB a request may ask for, in MB (the paper sweeps 8–32).
 const MAX_CAPACITY_MB: u64 = 1024;
 
-/// Why [`ServeRequest::resolve`] (or the CLI's flag parsing) refused a
-/// request's machine geometry or reference budget — checked before
-/// anything is allocated.
+/// Why [`ServeRequest::resolve_given`] refused a request's machine
+/// geometry or reference budget — checked before anything is allocated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EnvelopeError {
     /// `cores` outside `1..=MAX_CORES`.
@@ -98,7 +120,7 @@ impl std::fmt::Display for EnvelopeError {
 /// Checks a request's resolved geometry and budget: the core count and
 /// POM-TLB capacity `System::new` would allocate for, and the total
 /// reference count the trace key and the runner multiply out.
-pub fn check_envelope(
+fn check_envelope(
     cores: u64,
     capacity_mb: u64,
     warmup: u64,
@@ -117,10 +139,9 @@ pub fn check_envelope(
 }
 
 /// One wire-format request line. Missing fields deserialize to their
-/// zero value, which [`ServeRequest::resolve`] maps to the CLI defaults
-/// (8 cores, 40 000 refs, 15 000 warmup, seed `0x90af`, 16 MB POM-TLB,
-/// fault seed `0x5eed`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// zero value, which [`ServeRequest::resolve`] maps to the `DEFAULT_*`
+/// constants; the CLI fills the same struct from its flags as given.
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct ServeRequest {
     /// Caller-chosen correlation id, echoed on the response line.
     #[serde(default)]
@@ -135,19 +156,19 @@ pub struct ServeRequest {
     /// `shared-l2` | `tsb`); ignored by the batch kinds.
     #[serde(default)]
     pub scheme: String,
-    /// Simulated cores (0 = default 8).
+    /// Simulated cores (0 = [`DEFAULT_CORES`] on the wire).
     #[serde(default)]
     pub cores: u64,
-    /// Post-warmup references per core (0 = default 40 000).
+    /// Post-warmup references per core (0 = [`DEFAULT_REFS`] on the wire).
     #[serde(default)]
     pub refs: u64,
-    /// Warmup references per core (0 = default 15 000).
+    /// Warmup references per core (0 = [`DEFAULT_WARMUP`] on the wire).
     #[serde(default)]
     pub warmup: u64,
-    /// Base RNG seed (0 = default 0x90af).
+    /// Base RNG seed (0 = [`DEFAULT_SEED`] on the wire).
     #[serde(default)]
     pub seed: u64,
-    /// POM-TLB capacity in MB (0 = default 16).
+    /// POM-TLB capacity in MB (0 = [`DEFAULT_CAPACITY_MB`] on the wire).
     #[serde(default)]
     pub capacity_mb: u64,
     /// Bare-metal 1-D walks instead of virtualized 2-D.
@@ -174,7 +195,8 @@ pub struct ServeRequest {
     /// VM-teardown events per 10k refs per core.
     #[serde(default)]
     pub vm_destroys_per_10k: f64,
-    /// Fault-plan seed for `fault-sweep` (0 = default 0x5eed).
+    /// Fault-plan seed for `fault-sweep` (0 = [`DEFAULT_FAULT_SEED`] on the
+    /// wire).
     #[serde(default)]
     pub fault_seed: u64,
     /// Consolidation tenant count (0 = default 1000, max 65536;
@@ -264,10 +286,10 @@ pub fn parse_scheme(s: &str) -> Result<Scheme, String> {
     }
 }
 
-/// The OS event mix `fault-sweep` uses when no event knobs were given,
-/// on the CLI and in requests alike: remap-heavy enough that the
-/// shootdown-borne fault kinds have real OS events to ride on.
-pub fn fault_sweep_default_events() -> OsEventRates {
+/// The OS event mix `fault-sweep` uses when no event knobs were given:
+/// remap-heavy enough that the shootdown-borne fault kinds have real OS
+/// events to ride on.
+fn fault_sweep_default_events() -> OsEventRates {
     OsEventRates { unmaps: 12.0, remaps: 6.0, promotes: 0.5, migrations: 1.0, vm_destroys: 0.0 }
 }
 
@@ -318,7 +340,7 @@ pub struct ResolvedRequest {
     /// Stale-watchdog override (`None` keeps the build default).
     pub check_consistency: Option<bool>,
     /// OS-event rates (fault-sweep substitutes its eventful default mix
-    /// when none were given, exactly like the CLI).
+    /// when none were given).
     pub events: OsEventRates,
     /// Fault-plan seed (fault-sweep only).
     pub fault_seed: u64,
@@ -331,9 +353,24 @@ pub struct ResolvedRequest {
 }
 
 impl ServeRequest {
-    /// Applies defaults and validates; `Err` is the operator-facing
+    /// Resolves a wire request: each zero numeric knob stands for its
+    /// `DEFAULT_*` value, then the one resolution of
+    /// [`ServeRequest::resolve_given`] runs. `Err` is the operator-facing
     /// message for the error response.
     pub fn resolve(&self) -> Result<ResolvedRequest, String> {
+        self.resolve_with(|given, default| if given == 0 { default } else { given })
+    }
+
+    /// Resolves the knobs exactly as given — the CLI's literal flags, where
+    /// `--warmup 0` means no warmup — and validates them: the workload or
+    /// tenant mix, the scheme, the event rates and the envelope.
+    pub fn resolve_given(&self) -> Result<ResolvedRequest, String> {
+        self.resolve_with(|given, _| given)
+    }
+
+    /// The one resolution; `knob(given, default)` picks each numeric
+    /// knob's value.
+    fn resolve_with(&self, knob: impl Fn(u64, u64) -> u64) -> Result<ResolvedRequest, String> {
         let kind = RequestKind::parse(&self.kind)?;
         if matches!(kind, RequestKind::Ping | RequestKind::Stats | RequestKind::Shutdown) {
             return Err(format!("kind `{}` carries no run parameters", self.kind));
@@ -345,8 +382,8 @@ impl ServeRequest {
                         .to_string(),
                 );
             }
-            // Zero means default and out-of-domain values are errors —
-            // the identical resolution the CLI flag path goes through.
+            // Zero means default and out-of-domain values are errors, on
+            // the wire and on the CLI alike.
             let (vms, destroys, forks) =
                 resolve_mix(self.vms, self.churn_destroys_per_10k, self.churn_forks_per_10k)?;
             let churn = if self.no_churn { None } else { Some((destroys, forks)) };
@@ -387,23 +424,27 @@ impl ServeRequest {
         if kind == RequestKind::FaultSweep && events == OsEventRates::default() {
             events = fault_sweep_default_events();
         }
-        let nz = |v: u64, d: u64| if v == 0 { d } else { v };
-        let (cores, capacity_mb) = (nz(self.cores, 8), nz(self.capacity_mb, 16));
-        let (refs, warmup) = (nz(self.refs, 40_000), nz(self.warmup, 15_000));
+        let cores = knob(self.cores, DEFAULT_CORES);
+        let capacity_mb = knob(self.capacity_mb, DEFAULT_CAPACITY_MB);
+        let (refs, warmup) = (knob(self.refs, DEFAULT_REFS), knob(self.warmup, DEFAULT_WARMUP));
         check_envelope(cores, capacity_mb, warmup, refs).map_err(|e| e.to_string())?;
         Ok(ResolvedRequest {
             kind,
             workload,
             tenants,
             schemes,
-            sim: SimConfig { refs_per_core: refs, warmup_per_core: warmup, seed: nz(self.seed, 0x90af) },
+            sim: SimConfig {
+                refs_per_core: refs,
+                warmup_per_core: warmup,
+                seed: knob(self.seed, DEFAULT_SEED),
+            },
             cores: cores as usize,
             capacity_mb,
             native: self.native,
             prepopulate: !self.no_prepopulate,
             check_consistency: if self.check_consistency { Some(true) } else { None },
             events,
-            fault_seed: nz(self.fault_seed, 0x5eed),
+            fault_seed: knob(self.fault_seed, DEFAULT_FAULT_SEED),
             memoize: kind != RequestKind::FaultSweep && !self.no_memoize,
         })
     }

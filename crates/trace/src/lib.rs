@@ -73,9 +73,9 @@ pub use interleave::{interleaver_constructions, CoreItem, CoreRef, Interleaver, 
 pub use record::MemoryRef;
 pub use shared::{SharedTrace, SharedTraceIter, TraceKey};
 pub use spec::{LocalityModel, WorkloadSpec, WorkloadSpecBuilder};
-pub use manifest::GcReport;
+pub use manifest::{GcReport, VerifyEntry};
 pub use store::{
-    StoreCounters, StoreEntry, TraceStore, VerifyEntry, DEFAULT_MAX_BYTES, STORE_FORMAT_VERSION,
+    StoreCounters, StoreEntry, TraceStore, DEFAULT_MAX_BYTES, STORE_FORMAT_VERSION,
 };
 pub use tenancy::{ChurnGenerator, TenantAttrib, TenantMix, CHURN_SEED_SALT, TENANT_SEED_SALT};
 pub use zipf::Zipf;

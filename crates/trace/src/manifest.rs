@@ -84,6 +84,24 @@ pub struct GcReport {
     pub live_bytes: u64,
 }
 
+/// Integrity-check result for one body on disk.
+#[derive(Debug, Clone)]
+pub struct VerifyEntry {
+    /// Content digest (the file stem).
+    pub digest: String,
+    /// File size in bytes.
+    pub bytes: u64,
+    /// `None` when the file passed every check, else the failure reason.
+    pub error: Option<String>,
+}
+
+impl VerifyEntry {
+    /// Whether the body passed every check.
+    pub fn is_ok(&self) -> bool {
+        self.error.is_none()
+    }
+}
+
 /// Unix seconds now (0 if the clock reads before the epoch).
 pub fn unix_now() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)

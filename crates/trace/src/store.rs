@@ -55,7 +55,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::disk::{self, Mapping};
-use crate::manifest::{GcReport, Manifest, Row};
+use crate::manifest::{GcReport, Manifest, Row, VerifyEntry};
 use crate::shared::{Section, SharedTrace, TraceKey};
 use crate::spec::WorkloadSpec;
 
@@ -151,24 +151,6 @@ pub struct StoreEntry {
     pub events: u64,
     /// Unix seconds of last load or save (0 when unknown).
     pub last_used: u64,
-}
-
-/// Integrity-check result for one on-disk recording.
-#[derive(Debug, Clone)]
-pub struct VerifyEntry {
-    /// Content digest (the file stem).
-    pub digest: String,
-    /// File size in bytes.
-    pub bytes: u64,
-    /// `None` when the file passed every check, else the failure reason.
-    pub error: Option<String>,
-}
-
-impl VerifyEntry {
-    /// Whether the recording passed every check.
-    pub fn is_ok(&self) -> bool {
-        self.error.is_none()
-    }
 }
 
 /// Fixed columns first, the workload name (the only free-form field) last.
