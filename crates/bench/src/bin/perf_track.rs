@@ -489,7 +489,7 @@ fn main() -> ExitCode {
         Service::new(ServeConfig { report_dir: Some(report_dir.clone()), ..Default::default() })
             .map_err(|e| format!("cannot open {tag} serve service: {e}"))
     };
-    let serve_pass = |tag: &str| -> Result<(String, Duration, pomtlb_serve::ReportCounters), String> {
+    let serve_pass = |tag: &str| -> Result<(String, Duration, pomtlb_trace::StoreCounters), String> {
         let mut svc = serve(tag)?;
         let t = Instant::now();
         let line = svc

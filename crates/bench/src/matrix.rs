@@ -12,7 +12,7 @@ use pom_tlb::{
     SimReport, SystemConfig,
 };
 use pomtlb_tlb::WalkMode;
-use pomtlb_trace::TraceStore;
+use pomtlb_trace::{write_staged, TraceStore};
 use pomtlb_workloads::PaperWorkload;
 use serde::{Deserialize, Serialize};
 
@@ -222,16 +222,13 @@ impl Matrix {
             }
         }
         // Rewrite header + valid prefix atomically, then keep appending.
-        let tmp = path.with_extension("tmp");
-        {
-            let mut out = fs::File::create(&tmp)?;
+        write_staged(&path, |out| {
             writeln!(out, "{}", serde_json::to_string(&header).map_err(io::Error::other)?)?;
             for cell in &restored {
                 writeln!(out, "{}", serde_json::to_string(cell).map_err(io::Error::other)?)?;
             }
-            out.sync_all()?;
-        }
-        fs::rename(&tmp, &path)?;
+            Ok(())
+        })?;
         let file = fs::OpenOptions::new().append(true).open(&path)?;
         let n = restored.len();
         for cell in restored {

@@ -82,11 +82,14 @@ use pom_tlb::{
     ShootdownStats, SimJob, SimReport,
 };
 use pomtlb_serve::{
-    parse_scheme, ReportStore, ResolvedRequest, RowMeta, ServeConfig, ServeRequest, Service,
+    parse_scheme, ResolvedRequest, RowMeta, ServeConfig, ServeRequest, Service,
     DEFAULT_CAPACITY_MB, DEFAULT_CORES, DEFAULT_FAULT_SEED, DEFAULT_REFS, DEFAULT_SEED,
     DEFAULT_WARMUP,
 };
-use pomtlb_trace::{GcReport, OsEventRates, TraceStore, VerifyEntry};
+use pomtlb_trace::{
+    Codec, OsEventRates, ReportCodec, ReportEntry, ReportStore, Store, StoreEntry, TraceCodec,
+    TraceStore,
+};
 use pomtlb_workloads::PaperWorkload;
 
 fn main() -> ExitCode {
@@ -101,8 +104,12 @@ fn main() -> ExitCode {
         Some("shootdown-sweep") => run_simulation(&args[1..], Command::ShootdownSweep),
         Some("consolidation-sweep") => run_simulation(&args[1..], Command::ConsolidationSweep),
         Some("fault-sweep") => run_simulation(&args[1..], Command::FaultSweep),
-        Some("trace-store") => run_trace_store(&args[1..]),
-        Some("report-store") => run_report_store(&args[1..]),
+        Some("trace-store") => {
+            run_store::<TraceCodec>("trace-store", &args[1..], "recording(s)", trace_stats)
+        }
+        Some("report-store") => {
+            run_store::<ReportCodec>("report-store", &args[1..], "body(ies)", report_stats)
+        }
         Some("serve") => run_serve(&args[1..]),
         Some("client") => run_client(&args[1..]),
         Some("chaos-proxy") => run_chaos_proxy(&args[1..]),
@@ -617,32 +624,19 @@ fn print_fault_rows(request: &ResolvedRequest, rows: &[FaultRow], json: bool) ->
     true
 }
 
-/// The actions `trace-store` and `report-store` share.
-enum StoreAction {
-    Stats,
-    Verify,
-    Gc,
-}
-
-/// A parsed `trace-store` / `report-store` command line.
-struct StoreArgs {
-    action: StoreAction,
-    dir: String,
-    max_bytes: Option<u64>,
-}
-
-/// Parses `stats|verify|gc --dir DIR [--max-mb N]` for `command`; `Err` is
-/// the refusal to print.
-fn parse_store(command: &str, args: &[String]) -> Result<StoreArgs, String> {
+/// Parses `stats|verify|gc --dir DIR [--max-mb N]` for `command` and opens
+/// the store: the action and the handle, or the refusal to print.
+fn open_store<'a, C: Codec>(
+    command: &str,
+    args: &'a [String],
+) -> Result<(&'a str, Store<C>), String> {
     let mut action = None;
     let mut dir = None;
     let mut max_bytes = None;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "stats" if action.is_none() => action = Some(StoreAction::Stats),
-            "verify" if action.is_none() => action = Some(StoreAction::Verify),
-            "gc" if action.is_none() => action = Some(StoreAction::Gc),
+            "stats" | "verify" | "gc" if action.is_none() => action = Some(a.as_str()),
             "--dir" => dir = Some(it.next().ok_or("--dir needs a directory")?.clone()),
             "--max-mb" => {
                 let mb = it.next().and_then(|v| num(v).ok()).ok_or("--max-mb needs a number")?;
@@ -658,175 +652,154 @@ fn parse_store(command: &str, args: &[String]) -> Result<StoreArgs, String> {
     }
     let action = action.ok_or_else(|| format!("{command} needs an action: stats | verify | gc"))?;
     let dir = dir.ok_or_else(|| format!("{command} needs --dir DIR"))?;
-    Ok(StoreArgs { action, dir, max_bytes })
+    let store = Store::<C>::open(&dir)
+        .map_err(|e| format!("cannot open {} {dir}: {e}", command.replace('-', " ")))?;
+    Ok((action, match max_bytes { Some(b) => store.with_max_bytes(b), None => store }))
 }
 
-/// `verify`: one line per body and a total; exit code 1 if any is
-/// defective. `noun` names the bodies ("recording(s)", "body(ies)").
-fn print_verify(entries: &[VerifyEntry], noun: &str) -> ExitCode {
-    let mut bad = 0usize;
-    for e in entries {
-        match &e.error {
-            None => println!("OK    {} ({} bytes)", e.digest, e.bytes),
-            Some(err) => {
-                bad += 1;
-                println!("FAIL  {} ({} bytes): {err}", e.digest, e.bytes);
+/// `pomtlb trace-store|report-store stats|verify|gc --dir DIR [--max-mb N]`
+/// — inspect, integrity-check, or trim one content-addressed store (POMTRC2
+/// recordings or POMREP1 memoized serve bodies). `noun` names its bodies;
+/// `stats` prints its listing, the one part the two commands do not share.
+/// `verify` exits 1 if any body is defective.
+fn run_store<C: Codec>(
+    command: &str,
+    args: &[String],
+    noun: &str,
+    stats: fn(&Store<C>, &[C::Row]),
+) -> ExitCode {
+    let (action, store) = match open_store::<C>(command, args) {
+        Ok(opened) => opened,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match action {
+        "stats" => stats(&store, &store.entries()),
+        "verify" => {
+            let entries = store.verify();
+            let mut bad = 0usize;
+            for e in &entries {
+                match &e.error {
+                    None => println!("OK    {} ({} bytes)", e.digest, e.bytes),
+                    Some(err) => {
+                        bad += 1;
+                        println!("FAIL  {} ({} bytes): {err}", e.digest, e.bytes);
+                    }
+                }
+            }
+            println!("{} {noun}, {} defective", entries.len(), bad);
+            if bad > 0 {
+                return ExitCode::FAILURE;
             }
         }
+        _gc => {
+            let report = store.gc();
+            for (digest, bytes) in &report.evicted {
+                println!("evicted {digest} ({bytes} bytes)");
+            }
+            println!(
+                "{} {noun} evicted, {} bytes live (cap {} bytes)",
+                report.evicted.len(),
+                report.live_bytes,
+                store.max_bytes(),
+            );
+        }
     }
-    println!("{} {noun}, {} defective", entries.len(), bad);
-    if bad > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `gc`: one line per evicted body and what is left.
-fn print_gc(report: &GcReport, max_bytes: u64, noun: &str) -> ExitCode {
-    for (digest, bytes) in &report.evicted {
-        println!("evicted {digest} ({bytes} bytes)");
-    }
-    println!(
-        "{} {noun} evicted, {} bytes live (cap {max_bytes} bytes)",
-        report.evicted.len(),
-        report.live_bytes,
-    );
     ExitCode::SUCCESS
 }
 
-/// `pomtlb trace-store stats|verify|gc --dir DIR [--max-mb N]` — inspect,
-/// integrity-check, or trim a persistent POMTRC2 recording store.
-fn run_trace_store(args: &[String]) -> ExitCode {
-    let opened = parse_store("trace-store", args).and_then(|a| {
-        let store = TraceStore::open(&a.dir)
-            .map_err(|e| format!("cannot open trace store {}: {e}", a.dir))?;
-        Ok((a.action, match a.max_bytes { Some(b) => store.with_max_bytes(b), None => store }))
-    });
-    let (action, store) = match opened {
-        Ok(opened) => opened,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match action {
-        StoreAction::Verify => print_verify(&store.verify(), "recording(s)"),
-        StoreAction::Gc => print_gc(&store.gc(), store.max_bytes(), "recording(s)"),
-        StoreAction::Stats => {
-            let entries = store.entries();
+/// `trace-store stats`: the store's size, then one row per recording.
+fn trace_stats(store: &TraceStore, entries: &[StoreEntry]) {
+    println!(
+        "trace store {}: {} recording(s), {} bytes (cap {} bytes)",
+        store.root().display(),
+        entries.len(),
+        store.total_bytes(),
+        store.max_bytes(),
+    );
+    if !entries.is_empty() {
+        println!(
+            "{:<16} {:<14} {:>10} {:>5} {:>10} {:>10} {:>11}",
+            "digest", "workload", "seed", "cores", "refs", "bytes", "last_used"
+        );
+        for e in entries {
             println!(
-                "trace store {}: {} recording(s), {} bytes (cap {} bytes)",
-                store.root().display(),
-                entries.len(),
-                store.total_bytes(),
-                store.max_bytes(),
+                "{:<16} {:<14} {:>10} {:>5} {:>10} {:>10} {:>11}",
+                &e.digest[..e.digest.len().min(16)],
+                e.workload,
+                e.seed,
+                e.n_cores,
+                e.refs,
+                e.bytes,
+                e.last_used,
             );
-            if !entries.is_empty() {
-                println!(
-                    "{:<16} {:<14} {:>10} {:>5} {:>10} {:>10} {:>11}",
-                    "digest", "workload", "seed", "cores", "refs", "bytes", "last_used"
-                );
-                for e in &entries {
-                    println!(
-                        "{:<16} {:<14} {:>10} {:>5} {:>10} {:>10} {:>11}",
-                        &e.digest[..e.digest.len().min(16)],
-                        e.workload,
-                        e.seed,
-                        e.n_cores,
-                        e.refs,
-                        e.bytes,
-                        e.last_used,
-                    );
-                }
-            }
-            ExitCode::SUCCESS
         }
     }
 }
 
-/// `pomtlb report-store stats|verify|gc --dir DIR [--max-mb N]` — inspect,
-/// integrity-check, or trim a store of memoized serve response bodies
-/// (POMREP1 files), with `trace-store`'s actions.
-fn run_report_store(args: &[String]) -> ExitCode {
-    let opened = parse_store("report-store", args).and_then(|a| {
-        let store = ReportStore::open(&a.dir)
-            .map_err(|e| format!("cannot open report store {}: {e}", a.dir))?;
-        Ok((a.action, match a.max_bytes { Some(b) => store.with_max_bytes(b), None => store }))
-    });
-    let (action, store) = match opened {
-        Ok(opened) => opened,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match action {
-        StoreAction::Verify => print_verify(&store.verify(), "body(ies)"),
-        StoreAction::Gc => print_gc(&store.gc(), store.max_bytes(), "body(ies)"),
-        StoreAction::Stats => {
-            let entries = store.entries();
+/// `report-store stats`: the store's size, the last daemon's tier
+/// counters, then one row per memoized body.
+fn report_stats(store: &ReportStore, entries: &[ReportEntry]) {
+    println!(
+        "report store {}: {} memoized body(ies), {} bytes (cap {} bytes)",
+        store.root().display(),
+        entries.len(),
+        store.total_bytes(),
+        store.max_bytes(),
+    );
+    // The daemon persists its in-memory tier counters next to the
+    // store (see pomtlb_serve::TierSnapshot), so operators get tier
+    // hit ratios here without parsing perf JSON.
+    if let Some(t) = pomtlb_serve::TierSnapshot::load(store.root()) {
+        let answered = t.computed + t.memoized + t.hot + t.coalesced;
+        let ratio = |n: u64| {
+            if answered == 0 { 0.0 } else { n as f64 * 100.0 / answered as f64 }
+        };
+        println!(
+            "serve tiers (last daemon): {} answered — {} computed ({:.1}%), \
+             {} memoized ({:.1}%), {} hot ({:.1}%), {} coalesced ({:.1}%)",
+            answered,
+            t.computed,
+            ratio(t.computed),
+            t.memoized,
+            ratio(t.memoized),
+            t.hot,
+            ratio(t.hot),
+            t.coalesced,
+            ratio(t.coalesced),
+        );
+        println!(
+            "  hot cache: {}/{} bytes, {} hits / {} misses, {} eviction(s); \
+             single-flight: {} led, {} coalesced; admission: {} admitted, \
+             {} rejected, {} busy line(s)",
+            t.hot_bytes,
+            t.hot_max_bytes,
+            t.hot_hits,
+            t.hot_misses,
+            t.hot_evictions,
+            t.flights_led,
+            t.flights_coalesced,
+            t.admitted,
+            t.rejected,
+            t.busy,
+        );
+    }
+    if !entries.is_empty() {
+        println!(
+            "{:<16} {:<12} {:<14} {:>10} {:>11}",
+            "digest", "kind", "workload", "bytes", "last_used"
+        );
+        for e in entries {
             println!(
-                "report store {}: {} memoized body(ies), {} bytes (cap {} bytes)",
-                store.root().display(),
-                entries.len(),
-                store.total_bytes(),
-                store.max_bytes(),
+                "{:<16} {:<12} {:<14} {:>10} {:>11}",
+                &e.digest[..e.digest.len().min(16)],
+                e.kind,
+                e.workload,
+                e.bytes,
+                e.last_used,
             );
-            // The daemon persists its in-memory tier counters next to the
-            // store (see pomtlb_serve::TierSnapshot), so operators get tier
-            // hit ratios here without parsing perf JSON.
-            if let Some(t) = pomtlb_serve::TierSnapshot::load(store.root()) {
-                let answered = t.computed + t.memoized + t.hot + t.coalesced;
-                let ratio = |n: u64| {
-                    if answered == 0 { 0.0 } else { n as f64 * 100.0 / answered as f64 }
-                };
-                println!(
-                    "serve tiers (last daemon): {} answered — {} computed ({:.1}%), \
-                     {} memoized ({:.1}%), {} hot ({:.1}%), {} coalesced ({:.1}%)",
-                    answered,
-                    t.computed,
-                    ratio(t.computed),
-                    t.memoized,
-                    ratio(t.memoized),
-                    t.hot,
-                    ratio(t.hot),
-                    t.coalesced,
-                    ratio(t.coalesced),
-                );
-                println!(
-                    "  hot cache: {}/{} bytes, {} hits / {} misses, {} eviction(s); \
-                     single-flight: {} led, {} coalesced; admission: {} admitted, \
-                     {} rejected, {} busy line(s)",
-                    t.hot_bytes,
-                    t.hot_max_bytes,
-                    t.hot_hits,
-                    t.hot_misses,
-                    t.hot_evictions,
-                    t.flights_led,
-                    t.flights_coalesced,
-                    t.admitted,
-                    t.rejected,
-                    t.busy,
-                );
-            }
-            if !entries.is_empty() {
-                println!(
-                    "{:<16} {:<12} {:<14} {:>10} {:>11}",
-                    "digest", "kind", "workload", "bytes", "last_used"
-                );
-                for e in &entries {
-                    println!(
-                        "{:<16} {:<12} {:<14} {:>10} {:>11}",
-                        &e.digest[..e.digest.len().min(16)],
-                        e.kind,
-                        e.workload,
-                        e.bytes,
-                        e.last_used,
-                    );
-                }
-            }
-            ExitCode::SUCCESS
         }
     }
 }

@@ -246,8 +246,7 @@ impl ChunkSim {
                 TraceItem::Ref(mref) => mref,
             };
             if self.refs_done == self.warm_total {
-                self.system.reset_stats();
-                self.icount_base.copy_from_slice(&self.icount_latest);
+                self.end_warmup();
             }
             self.refs_done += 1;
             let size = self
@@ -274,7 +273,19 @@ impl ChunkSim {
             self.core_stall[core.index()] += penalty + Cycles::new(data_latency.raw() / 2);
             self.icount_latest[core.index()] = mref.icount;
         }
+        // With no measured reference to fire the reset above, it fires as
+        // the warmup ends, so such a run reports no references.
+        if self.main_total == 0 && self.refs_done == self.warm_total && before < self.refs_done {
+            self.end_warmup();
+        }
         self.refs_done - before
+    }
+
+    /// The warmup boundary: statistics restart and instruction counts
+    /// rebase.
+    fn end_warmup(&mut self) {
+        self.system.reset_stats();
+        self.icount_base.copy_from_slice(&self.icount_latest);
     }
 
     /// Total reference budget (warmup + measured, summed over cores).
@@ -368,6 +379,18 @@ mod tests {
         let mut sim = job.to_simulation().begin();
         while sim.advance(step) > 0 {}
         fingerprint(&sim.finish())
+    }
+
+    #[test]
+    fn a_run_without_measured_references_reports_none() {
+        let sim = SimConfig { refs_per_core: 0, warmup_per_core: 100, seed: 42 };
+        let job = SimJob::new("warmup-only", &spec(), Scheme::pom_tlb(), sim)
+            .with_system_config(SystemConfig { n_cores: 2, ..Default::default() });
+        let report = job.to_simulation().run();
+        let counted = (report.refs, report.instructions, report.l1_tlb_misses);
+        assert_eq!(counted, (0, 0, 0), "warmup references are not measured");
+        assert_eq!((report.l2_tlb_misses, report.total_penalty), (0, Cycles::ZERO));
+        assert_eq!(in_steps(&job, 7), fingerprint(&report), "the reset fires once, in any steps");
     }
 
     #[test]

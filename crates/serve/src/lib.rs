@@ -7,7 +7,8 @@
 //! compare, consolidation and fault-sweep requests as JSON lines (over
 //! stdin, a Unix socket, or a hardened TCP listener), keeps one warm [`pomtlb_trace::TraceStore`] handle and one
 //! worker-pool policy across requests, and answers *repeated* requests
-//! from a second content-addressed store: the [`ReportStore`], which
+//! from the same content-addressed store over a second codec: the
+//! [`ReportStore`] (POMREP1, re-exported from `pomtlb_trace`), which
 //! memoizes finished response bodies keyed by [`request_digest`] — the
 //! shared 4-lane splitmix digest over the trace key plus every
 //! configuration dimension that can change the result.
@@ -56,7 +57,6 @@ mod chaos;
 mod client;
 mod flight;
 mod hot_cache;
-mod report_store;
 mod request;
 mod service;
 mod tiers;
@@ -64,10 +64,7 @@ mod transport;
 
 pub use flight::{FlightFailure, FlightFollower, FlightLeader, FlightResult, Joined, SingleFlight};
 pub use hot_cache::{HotCache, HotCacheCounters, DEFAULT_HOT_MAX_BYTES};
-pub use report_store::{
-    ReportCounters, ReportEntry, ReportGcReport, ReportStore, ReportVerifyEntry,
-    DEFAULT_REPORT_MAX_BYTES, REPORT_FORMAT_VERSION,
-};
+pub use pomtlb_trace::{ReportEntry, ReportStore, DEFAULT_REPORT_MAX_BYTES, REPORT_FORMAT_VERSION};
 pub use request::{
     parse_scheme, request_bytes, request_digest, EnvelopeError, RequestKind, ResolvedRequest,
     RowMeta, ServeRequest, TenantParams, DEFAULT_CAPACITY_MB, DEFAULT_CORES, DEFAULT_FAULT_SEED,

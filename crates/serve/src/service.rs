@@ -62,12 +62,11 @@ use pom_tlb::{
     SimReport,
 };
 use pomtlb_trace::digest::digest_hex;
-use pomtlb_trace::TraceStore;
+use pomtlb_trace::{ReportStore, TraceStore, DEFAULT_REPORT_MAX_BYTES};
 use serde::Serialize;
 
 use crate::flight::{FlightFailure, Joined, SingleFlight};
 use crate::hot_cache::{HotCache, DEFAULT_HOT_MAX_BYTES};
-use crate::report_store::{ReportStore, DEFAULT_REPORT_MAX_BYTES};
 use crate::request::{request_digest, ResolvedRequest, ServeRequest};
 use crate::tiers::TierSnapshot;
 
@@ -871,53 +870,28 @@ impl Service {
 
     fn stats_body(&self) -> StatsBody {
         let shared = &*self.shared;
-        let report_store = match &shared.report_store {
-            Some(s) => {
-                let c = s.counters();
-                ReportStoreStats {
-                    enabled: true,
-                    root: s.root().display().to_string(),
-                    entries: s.entries().len() as u64,
-                    total_bytes: s.total_bytes(),
-                    hits: c.hits,
-                    misses: c.misses,
-                    stores: c.stores,
-                    bytes_read: c.bytes_read,
-                    load_failures: c.load_failures,
-                }
-            }
-            None => ReportStoreStats {
-                enabled: false,
-                root: String::new(),
-                entries: 0,
-                total_bytes: 0,
-                hits: 0,
-                misses: 0,
-                stores: 0,
-                bytes_read: 0,
-                load_failures: 0,
-            },
+        let reports = shared.report_store.as_ref();
+        let rc = reports.map(ReportStore::counters).unwrap_or_default();
+        let report_store = ReportStoreStats {
+            enabled: reports.is_some(),
+            root: reports.map(|s| s.root().display().to_string()).unwrap_or_default(),
+            entries: reports.map_or(0, |s| s.entries().len() as u64),
+            total_bytes: reports.map_or(0, ReportStore::total_bytes),
+            hits: rc.hits,
+            misses: rc.misses,
+            stores: rc.stores,
+            bytes_read: rc.bytes_read,
+            load_failures: rc.load_failures,
         };
-        let trace_store = match &shared.trace_store {
-            Some(s) => {
-                let c = s.counters();
-                TraceStoreStats {
-                    enabled: true,
-                    root: s.root().display().to_string(),
-                    hits: c.hits,
-                    misses: c.misses,
-                    bytes_mapped: c.bytes_mapped,
-                    load_failures: c.load_failures,
-                }
-            }
-            None => TraceStoreStats {
-                enabled: false,
-                root: String::new(),
-                hits: 0,
-                misses: 0,
-                bytes_mapped: 0,
-                load_failures: 0,
-            },
+        let traces = shared.trace_store.as_ref();
+        let tc = traces.map(TraceStore::counters).unwrap_or_default();
+        let trace_store = TraceStoreStats {
+            enabled: traces.is_some(),
+            root: traces.map(|s| s.root().display().to_string()).unwrap_or_default(),
+            hits: tc.hits,
+            misses: tc.misses,
+            bytes_mapped: tc.bytes_read,
+            load_failures: tc.load_failures,
         };
         let hot_cache = match &shared.hot {
             Some(hot) => {

@@ -10,15 +10,19 @@
 //! JSON.
 //!
 //! The format is the store's own dependency-free dialect: a versioned
-//! header line, then `key<TAB>value` rows, written tmp-then-rename like
-//! every other artifact in the store directory. Readers ignore unknown
-//! keys and treat missing ones as zero, so the snapshot can grow fields
-//! without a version bump; a malformed file reads as `None` (the snapshot
-//! is an observability aid, never load-bearing state).
+//! header line, then `key<TAB>value` rows, written through the store's
+//! one staged write ([`pomtlb_trace::write_staged`]: a staging file per
+//! call, synced, then renamed) like every other artifact in the store
+//! directory. Readers ignore unknown keys and treat missing ones as zero,
+//! so the snapshot can grow fields without a version bump; a malformed
+//! file reads as `None` (the snapshot is an observability aid, never
+//! load-bearing state).
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::Path;
+
+use pomtlb_trace::write_staged;
 
 /// File name of the snapshot inside the report directory.
 pub const SERVE_COUNTERS_FILE: &str = "serve_counters.tsv";
@@ -107,8 +111,8 @@ impl TierSnapshot {
         }
     }
 
-    /// Writes the snapshot into `dir` (tmp-then-rename, so readers never
-    /// see a torn file).
+    /// Writes the snapshot into `dir` through a staging file of its own, so
+    /// concurrent saves never share one and readers never see a torn file.
     pub fn save(&self, dir: &Path) -> io::Result<()> {
         let mut text = String::with_capacity(512);
         text.push_str(SNAPSHOT_HEADER);
@@ -119,13 +123,7 @@ impl TierSnapshot {
             text.push_str(&value.to_string());
             text.push('\n');
         }
-        let tmp = dir.join(format!("{SERVE_COUNTERS_FILE}.tmp.{}", std::process::id()));
-        {
-            let mut file = fs::File::create(&tmp)?;
-            file.write_all(text.as_bytes())?;
-            file.sync_all()?;
-        }
-        fs::rename(&tmp, dir.join(SERVE_COUNTERS_FILE))
+        write_staged(&dir.join(SERVE_COUNTERS_FILE), |w| w.write_all(text.as_bytes()))
     }
 
     /// Reads the snapshot from `dir`; `None` if absent or malformed.
@@ -197,5 +195,35 @@ mod tests {
         let snapshot = TierSnapshot::load(&dir.0).expect("loads");
         assert_eq!(snapshot.hot, 7);
         assert_eq!(snapshot.computed, 0);
+    }
+
+    #[test]
+    fn concurrent_saves_never_fail_or_tear() {
+        let dir = TempDir::new("concurrent");
+        // Every field holds the same value, so a torn mix shows.
+        let snapshot = |value: u64| {
+            let mut s = TierSnapshot::default();
+            for (key, _) in TierSnapshot::default().fields() {
+                s.set(key, value);
+            }
+            s
+        };
+        snapshot(0).save(&dir.0).expect("first save");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4u64 {
+                let (dir, start) = (&dir.0, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..500 {
+                        snapshot(t * 1000 + i).save(dir).expect("every save succeeds");
+                        let got = TierSnapshot::load(dir).expect("every load reads a snapshot");
+                        assert_eq!(got, snapshot(got.computed), "a load read a torn snapshot");
+                    }
+                });
+            }
+        });
+        let left = fs::read_dir(&dir.0).expect("list").count();
+        assert_eq!(left, 1, "only the snapshot remains, no staging file");
     }
 }

@@ -57,6 +57,7 @@ mod interleave;
 pub mod manifest;
 mod picker;
 mod record;
+mod report_store;
 mod shared;
 mod spec;
 mod store;
@@ -73,10 +74,11 @@ pub use interleave::{interleaver_constructions, CoreItem, CoreRef, Interleaver, 
 pub use record::MemoryRef;
 pub use shared::{SharedTrace, SharedTraceIter, TraceKey};
 pub use spec::{LocalityModel, WorkloadSpec, WorkloadSpecBuilder};
-pub use manifest::{GcReport, VerifyEntry};
-pub use store::{
-    StoreCounters, StoreEntry, TraceStore, DEFAULT_MAX_BYTES, STORE_FORMAT_VERSION,
+pub use manifest::{write_staged, Codec, GcReport, Store, StoreCounters, VerifyEntry};
+pub use report_store::{
+    ReportCodec, ReportEntry, ReportStore, DEFAULT_REPORT_MAX_BYTES, REPORT_FORMAT_VERSION,
 };
+pub use store::{StoreEntry, TraceCodec, TraceStore, DEFAULT_MAX_BYTES, STORE_FORMAT_VERSION};
 pub use tenancy::{ChurnGenerator, TenantAttrib, TenantMix, CHURN_SEED_SALT, TENANT_SEED_SALT};
 pub use zipf::Zipf;
 

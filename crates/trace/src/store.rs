@@ -15,23 +15,12 @@
 //!   manifest.tsv                      advisory index: sizes, LRU stamps
 //! ```
 //!
-//! Files are content-addressed by [`TraceKey::digest`], written to a tmp
-//! name and atomically renamed, so readers never observe a half-written
-//! recording. The manifest is *advisory*: it accelerates `stats` and feeds
-//! LRU eviction, but the recordings are self-describing and self-checking —
-//! a deleted or stale manifest only costs metadata, never correctness.
-//! Its rows, its once-per-second batched writes, its lock and the LRU GC
-//! pass live in [`crate::manifest`], shared with the serve crate's report
-//! store.
-//!
-//! # Fallback rules
-//!
-//! [`TraceStore::load`] returns `None` — and the caller regenerates live —
-//! for a missing file (a clean miss) or *any* defect: foreign magic,
-//! version or digest mismatch, bad length, failed checksum. A defective
-//! entry is reported on stderr and counted, never trusted; a subsequent
-//! save overwrites it. The store can therefore make a run faster or leave
-//! it unchanged, but never wrong.
+//! [`TraceStore`] is the one content-addressed [`Store`] of
+//! [`crate::manifest`] over this module's POMTRC2 codec, as
+//! [`crate::ReportStore`] is over POMREP1: the staged write, the manifest,
+//! the load path with its fallback rules, `verify` and the LRU GC pass
+//! live there. This module keeps the format: decode, verify, the manifest
+//! row, and the typed `save`.
 //!
 //! ```no_run
 //! use std::sync::Arc;
@@ -47,15 +36,12 @@
 //! # }
 //! ```
 
-use std::fs;
-use std::io::{self, BufWriter};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::io;
+use std::path::Path;
 use std::sync::Arc;
-use std::time::Duration;
 
 use crate::disk::{self, Mapping};
-use crate::manifest::{GcReport, Manifest, Row, VerifyEntry};
+use crate::manifest::{check_name, Codec, Row, Store};
 use crate::shared::{Section, SharedTrace, TraceKey};
 use crate::spec::WorkloadSpec;
 
@@ -67,65 +53,14 @@ pub const STORE_FORMAT_VERSION: u32 = disk::FORMAT_VERSION;
 /// Default size cap for [`TraceStore::gc`]: 2 GiB.
 pub const DEFAULT_MAX_BYTES: u64 = 2 << 30;
 
-const TRACE_EXT: &str = "pomtrc";
-
-/// Total read attempts [`TraceStore::load`] makes against transient I/O
-/// errors before treating the entry as unusable.
-pub const DEFAULT_RETRY_ATTEMPTS: u32 = 3;
-
-/// First-retry backoff delay; each further retry doubles it, capped at
-/// [`RETRY_DELAY_CAP`].
-pub const DEFAULT_RETRY_BASE_DELAY: Duration = Duration::from_millis(10);
-
-/// Upper bound on the per-retry backoff delay.
-pub const RETRY_DELAY_CAP: Duration = Duration::from_millis(200);
-
-/// Transient errors are environmental hiccups worth retrying; everything
-/// else (corruption, truncation, version skew) is a *defect* that a
-/// re-read cannot fix.
-fn is_transient(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::Interrupted | io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
+/// The POMTRC2 codec: recordings keyed by [`TraceKey`], replayed from
+/// their mapping without copying the bulk sections.
+#[derive(Debug)]
+pub struct TraceCodec;
 
 /// A persistent, content-addressed cache of trace recordings under one
 /// directory. See the module docs for the on-disk contract.
-///
-/// Handles are cheap and independent: two processes (or two handles in one
-/// process) pointed at the same directory interoperate through the
-/// atomic-rename write protocol.
-#[derive(Debug)]
-pub struct TraceStore {
-    /// Body paths, the manifest's pending rows, its flush and the GC pass.
-    index: Manifest<StoreEntry>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    bytes_mapped: AtomicU64,
-    load_failures: AtomicU64,
-    transient_retries: AtomicU64,
-    /// Armed test faults: each pending unit makes one load attempt fail
-    /// with a synthetic transient I/O error.
-    injected_load_faults: AtomicU64,
-    retry_attempts: u32,
-    retry_base_delay: Duration,
-}
-
-/// Counter snapshot of one store handle's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StoreCounters {
-    /// Recordings served from disk.
-    pub hits: u64,
-    /// Lookups that found no usable recording (absent or defective).
-    pub misses: u64,
-    /// Total bytes of recording files mapped (or read) for hits.
-    pub bytes_mapped: u64,
-    /// Misses caused by a defective file rather than an absent one.
-    pub load_failures: u64,
-    /// Read attempts re-issued after a transient I/O error.
-    pub transient_retries: u64,
-}
+pub type TraceStore = Store<TraceCodec>;
 
 /// One recording visible in the store directory, merged from the file
 /// scan and the advisory manifest.
@@ -170,6 +105,10 @@ impl Row for StoreEntry {
         self.last_used = stamp;
     }
 
+    fn set_bytes(&mut self, bytes: u64) {
+        self.bytes = bytes;
+    }
+
     fn to_line(&self) -> String {
         let workload: String = self.workload.chars().filter(|c| !c.is_control()).collect();
         format!(
@@ -208,162 +147,20 @@ impl Row for StoreEntry {
     }
 }
 
-impl TraceStore {
-    /// Opens (creating if needed) a store rooted at `dir`, with the default
-    /// [`DEFAULT_MAX_BYTES`] garbage-collection cap.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<TraceStore> {
-        let root = dir.into();
-        fs::create_dir_all(&root)?;
-        Ok(TraceStore {
-            index: Manifest::new(root, TRACE_EXT, DEFAULT_MAX_BYTES),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            bytes_mapped: AtomicU64::new(0),
-            load_failures: AtomicU64::new(0),
-            transient_retries: AtomicU64::new(0),
-            injected_load_faults: AtomicU64::new(0),
-            retry_attempts: DEFAULT_RETRY_ATTEMPTS,
-            retry_base_delay: DEFAULT_RETRY_BASE_DELAY,
-        })
+impl Codec for TraceCodec {
+    type Row = StoreEntry;
+    type Key = TraceKey;
+    type Value = Arc<SharedTrace>;
+    const EXT: &'static str = "pomtrc";
+    const NAME: &'static str = "trace-store";
+    const FALLBACK: &'static str = "falling back to live generation";
+    const DEFAULT_MAX_BYTES: u64 = DEFAULT_MAX_BYTES;
+
+    fn digest(key: &TraceKey) -> [u8; 32] {
+        key.digest()
     }
 
-    /// Replaces the garbage-collection size cap (floored at one byte).
-    pub fn with_max_bytes(mut self, max_bytes: u64) -> TraceStore {
-        self.index.set_max_bytes(max_bytes);
-        self
-    }
-
-    /// Replaces the transient-error retry policy: total read `attempts`
-    /// per load (floored at one) and the first-retry backoff delay (each
-    /// further retry doubles it, capped at [`RETRY_DELAY_CAP`]). Tests use
-    /// a zero delay to exercise the retry path without sleeping.
-    pub fn with_retry_policy(mut self, attempts: u32, base_delay: Duration) -> TraceStore {
-        self.retry_attempts = attempts.max(1);
-        self.retry_base_delay = base_delay;
-        self
-    }
-
-    /// Arms `n` synthetic transient I/O faults: each of the next `n` load
-    /// attempts fails with `ErrorKind::Interrupted` before touching the
-    /// file. Test hook for the retry/backoff machinery; harmless (and
-    /// pointless) outside tests.
-    #[doc(hidden)]
-    pub fn inject_transient_load_faults(&self, n: u64) {
-        self.injected_load_faults.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Consumes one armed synthetic fault, if any.
-    fn take_injected_fault(&self) -> bool {
-        let mut cur = self.injected_load_faults.load(Ordering::Relaxed);
-        while cur > 0 {
-            match self.injected_load_faults.compare_exchange(
-                cur,
-                cur - 1,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return true,
-                Err(now) => cur = now,
-            }
-        }
-        false
-    }
-
-    /// The store's root directory.
-    pub fn root(&self) -> &Path {
-        self.index.root()
-    }
-
-    /// The garbage-collection size cap in bytes.
-    pub fn max_bytes(&self) -> u64 {
-        self.index.max_bytes()
-    }
-
-    /// Snapshot of this handle's hit/miss counters.
-    pub fn counters(&self) -> StoreCounters {
-        StoreCounters {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            bytes_mapped: self.bytes_mapped.load(Ordering::Relaxed),
-            load_failures: self.load_failures.load(Ordering::Relaxed),
-            transient_retries: self.transient_retries.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Loads the recording for `key`, or `None` on a miss.
-    ///
-    /// *Transient* I/O errors (interrupted / would-block / timed-out reads
-    /// — the kind a flaky network filesystem produces) are retried up to
-    /// the handle's attempt budget with capped exponential backoff before
-    /// the entry is given up on. A miss is an absent file *or any defect
-    /// whatsoever* — wrong magic, version or digest mismatch, truncation,
-    /// checksum failure, or exhausted retries. Defects warn on stderr and
-    /// count as [`StoreCounters::load_failures`]; the caller falls back to
-    /// live generation, so a damaged store can cost time but never
-    /// correctness. A file that is absent when opened — never saved, or
-    /// evicted by another handle a moment ago — is a clean miss.
-    pub fn load(&self, key: &TraceKey) -> Option<Arc<SharedTrace>> {
-        let hex = key.digest_hex();
-        let path = self.index.body_path(&hex);
-        let attempts = self.retry_attempts.max(1);
-        let mut attempt = 0u32;
-        let outcome = loop {
-            attempt += 1;
-            let read = if self.take_injected_fault() {
-                Err(io::Error::new(
-                    io::ErrorKind::Interrupted,
-                    "injected transient I/O fault",
-                ))
-            } else {
-                self.try_load(key, &path)
-            };
-            match read {
-                Ok(trace) => break Ok(trace),
-                Err(e) if is_transient(&e) && attempt < attempts => {
-                    self.transient_retries.fetch_add(1, Ordering::Relaxed);
-                    eprintln!(
-                        "trace-store: transient error reading {} ({e}); retry {attempt}/{}",
-                        path.display(),
-                        attempts - 1
-                    );
-                    let delay = self
-                        .retry_base_delay
-                        .saturating_mul(1u32 << (attempt - 1).min(4))
-                        .min(RETRY_DELAY_CAP);
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-                Err(e) => break Err(e),
-            }
-        };
-        match outcome {
-            Ok((trace, file_bytes)) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.bytes_mapped.fetch_add(trace.buffer_bytes() as u64, Ordering::Relaxed);
-                // An orphan (absent from the manifest) is indexed with its
-                // full identity, which this load holds.
-                self.index.loaded(&hex, || Self::entry_for(&trace, &hex, file_bytes));
-                Some(Arc::new(trace))
-            }
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-            Err(e) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.load_failures.fetch_add(1, Ordering::Relaxed);
-                eprintln!(
-                    "trace-store: {} unusable ({e}); falling back to live generation",
-                    path.display()
-                );
-                None
-            }
-        }
-    }
-
-    /// The recording and its file size.
-    fn try_load(&self, key: &TraceKey, path: &Path) -> io::Result<(SharedTrace, u64)> {
+    fn decode(path: &Path, key: &TraceKey) -> io::Result<(Arc<SharedTrace>, u64)> {
         let map = Arc::new(Mapping::open(path)?);
         let bytes = map.bytes();
         let file_bytes = bytes.len() as u64;
@@ -388,34 +185,64 @@ impl TraceStore {
             offset: header.refs_range.start,
             len: header.refs_range.len(),
         };
-        Ok((SharedTrace::from_sections(key.clone(), cores, refs, events), file_bytes))
+        let trace = SharedTrace::from_sections(key.clone(), cores, refs, events);
+        Ok((Arc::new(trace), file_bytes))
     }
 
-    /// Persists `trace`, returning the bytes written. The write goes to a
-    /// per-call tmp file, is synced and atomically renamed into place, then
-    /// the manifest row is recorded; the flush that merges it runs a GC
-    /// pass to enforce the size cap.
+    fn value_bytes(trace: &Arc<SharedTrace>) -> u64 {
+        trace.buffer_bytes() as u64
+    }
+
+    /// Header, exact length, section checksums, record-level tags, and
+    /// the key digest against the file name.
+    fn verify(path: &Path, name: &str) -> io::Result<()> {
+        check_name(&disk::verify_file(path)?.digest, name)
+    }
+
+    /// Not indexed (the manifest is advisory): the record counts come
+    /// from the file header itself.
+    fn unindexed(path: &Path, digest: String, bytes: u64, last_used: u64) -> StoreEntry {
+        let (refs, events) = Mapping::open(path)
+            .ok()
+            .and_then(|m| disk::parse_header(m.bytes()).ok())
+            .map(|h| (h.n_refs, h.n_events))
+            .unwrap_or((0, 0));
+        StoreEntry {
+            digest,
+            workload: "?".into(),
+            seed: 0,
+            n_cores: 0,
+            shared_memory: false,
+            total_refs: 0,
+            bytes,
+            refs,
+            events,
+            last_used,
+        }
+    }
+
+    /// An orphan is indexed with its full identity, which the load holds.
+    fn loaded_row(trace: &Arc<SharedTrace>, _: &Path, digest: &str, file_bytes: u64) -> StoreEntry {
+        entry_for(trace, digest, file_bytes)
+    }
+}
+
+impl Store<TraceCodec> {
+    /// Persists `trace`, returning the bytes written (see
+    /// [`crate::manifest::write_staged`]); the flush that merges its
+    /// manifest row runs a GC pass to enforce the size cap.
     pub fn save(&self, trace: &SharedTrace) -> io::Result<u64> {
         let key = trace.key();
         let hex = key.digest_hex();
-        let tmp = self.index.tmp_path(&hex);
-        let path = self.index.body_path(&hex);
         let digest = key.digest();
-        let file = fs::File::create(&tmp)?;
-        let mut w = BufWriter::new(file);
-        let written = disk::write_stored(
-            &mut w,
-            &digest,
-            trace.cores_bytes(),
-            trace.refs_bytes(),
-            trace.events_list(),
-        )?;
-        let file = w.into_inner().map_err(|e| e.into_error())?;
-        file.sync_all()?;
-        drop(file);
-        fs::rename(&tmp, &path)?;
-        self.index.saved(Self::entry_for(trace, &hex, written));
-        Ok(written)
+        self.save_body(
+            &hex,
+            |w| {
+                let events = trace.events_list();
+                disk::write_stored(w, &digest, trace.cores_bytes(), trace.refs_bytes(), events)
+            },
+            |bytes| entry_for(trace, &hex, bytes),
+        )
     }
 
     /// Loads the recording for these parameters, or generates, persists and
@@ -446,90 +273,23 @@ impl TraceStore {
         }
         trace
     }
+}
 
-    /// Every recording currently on disk, most recently used first.
-    pub fn entries(&self) -> Vec<StoreEntry> {
-        let manifest = self.index.rows();
-        let mut out: Vec<StoreEntry> = self
-            .index
-            .scan()
-            .into_iter()
-            .map(|(digest, bytes)| {
-                match manifest.iter().find(|e| e.digest == digest) {
-                    Some(m) => StoreEntry { bytes, ..m.clone() },
-                    None => {
-                        // Not indexed (the manifest is advisory) — recover
-                        // the record counts from the file header itself.
-                        let (refs, events) = disk::Mapping::open(&self.index.body_path(&digest))
-                            .ok()
-                            .and_then(|m| disk::parse_header(m.bytes()).ok())
-                            .map(|h| (h.n_refs, h.n_events))
-                            .unwrap_or((0, 0));
-                        StoreEntry {
-                            last_used: self.index.mtime(&digest),
-                            digest,
-                            workload: "?".into(),
-                            seed: 0,
-                            n_cores: 0,
-                            shared_memory: false,
-                            total_refs: 0,
-                            bytes,
-                            refs,
-                            events,
-                        }
-                    }
-                }
-            })
-            .collect();
-        out.sort_by(|a, b| b.last_used.cmp(&a.last_used).then_with(|| a.digest.cmp(&b.digest)));
-        out
-    }
-
-    /// Total bytes of recordings on disk (manifest excluded).
-    pub fn total_bytes(&self) -> u64 {
-        self.index.scan().iter().map(|(_, b)| b).sum()
-    }
-
-    /// Integrity-checks every recording on disk: header, exact length,
-    /// section checksums, record-level tags. Defective entries are reported
-    /// with the reason but left in place (the next `save` of that key
-    /// overwrites them; `gc` evicts them like any other entry).
-    pub fn verify(&self) -> Vec<VerifyEntry> {
-        self.index
-            .scan()
-            .into_iter()
-            .map(|(digest, bytes)| {
-                let error = disk::verify_file(&self.index.body_path(&digest)).err().map(|e| e.to_string());
-                VerifyEntry { digest, bytes, error }
-            })
-            .collect()
-    }
-
-    /// Evicts least-recently-used recordings until the store fits
-    /// [`TraceStore::max_bytes`], after merging this handle's pending
-    /// manifest rows. Recency comes from the manifest's `last_used` stamps,
-    /// falling back to file mtime for unindexed files; ties break by digest
-    /// so the pass is deterministic.
-    pub fn gc(&self) -> GcReport {
-        self.index.gc()
-    }
-
-    /// The manifest row for a recording whose identity we hold in full
-    /// (the index stamps it).
-    fn entry_for(trace: &SharedTrace, digest: &str, bytes: u64) -> StoreEntry {
-        let key = trace.key();
-        StoreEntry {
-            digest: digest.to_string(),
-            workload: key.spec.name.clone(),
-            seed: key.seed,
-            n_cores: key.n_cores,
-            shared_memory: key.shared_memory,
-            total_refs: key.total_refs,
-            bytes,
-            refs: trace.refs(),
-            events: trace.events(),
-            last_used: 0,
-        }
+/// The manifest row for a recording whose identity we hold in full (the
+/// store stamps it).
+fn entry_for(trace: &SharedTrace, digest: &str, bytes: u64) -> StoreEntry {
+    let key = trace.key();
+    StoreEntry {
+        digest: digest.to_string(),
+        workload: key.spec.name.clone(),
+        seed: key.seed,
+        n_cores: key.n_cores,
+        shared_memory: key.shared_memory,
+        total_refs: key.total_refs,
+        bytes,
+        refs: trace.refs(),
+        events: trace.events(),
+        last_used: 0,
     }
 }
 
@@ -537,8 +297,11 @@ impl TraceStore {
 mod tests {
     use super::*;
     use crate::event::OsEventRates;
-    use crate::manifest;
+    use crate::manifest::{self, VerifyEntry};
     use crate::spec::LocalityModel;
+    use std::fs;
+    use std::path::PathBuf;
+    use std::time::Duration;
 
     struct TempDir(PathBuf);
 
@@ -586,7 +349,22 @@ mod tests {
         assert_eq!(a, b, "disk replay is bit-identical to the live recording");
         let c = reopened.counters();
         assert_eq!((c.hits, c.misses, c.load_failures), (1, 0, 0));
-        assert!(c.bytes_mapped > 0);
+        assert!(c.bytes_read > 0);
+    }
+
+    #[test]
+    fn verify_rejects_a_recording_under_another_name() {
+        let dir = TempDir::new("misnamed");
+        let store = TraceStore::open(&dir.0).expect("open");
+        let live = Arc::new(SharedTrace::generate(&spec("misnamed"), 61, 1, false, 300));
+        store.save(&live).expect("save");
+        let other = "ab".repeat(32);
+        fs::copy(store.body_path(&live.key().digest_hex()), store.body_path(&other))
+            .expect("copy the recording under another name");
+        let bad: Vec<VerifyEntry> = store.verify().into_iter().filter(|e| !e.is_ok()).collect();
+        assert_eq!(bad.len(), 1, "only the misnamed copy fails: {bad:?}");
+        assert_eq!(bad[0].digest, other);
+        assert!(bad[0].error.as_deref().unwrap_or("").contains("file name"));
     }
 
     #[test]
@@ -628,7 +406,7 @@ mod tests {
         let s = spec("bad");
         let live = Arc::new(SharedTrace::generate(&s, 9, 2, false, 500));
         store.save(&live).expect("save");
-        let path = store.index.body_path(&live.key().digest_hex());
+        let path = store.body_path(&live.key().digest_hex());
         let mut bytes = fs::read(&path).expect("read back");
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
@@ -658,7 +436,7 @@ mod tests {
             traces.iter().map(|t| writer.save(t).expect("save")).collect();
         // Make recency unambiguous: oldest → newest by seed.
         for (i, t) in traces.iter().enumerate() {
-            writer.index.force_last_used(&t.key().digest_hex(), 1000 + i as u64);
+            writer.force_last_used(&t.key().digest_hex(), 1000 + i as u64);
         }
         // Cap fits the two newest recordings but not all three.
         let store = TraceStore::open(&dir.0)
@@ -785,7 +563,7 @@ mod tests {
         // And the restored stamp is manifest-backed: it can now be aged
         // like any indexed entry (force_last_used edits manifest entries
         // only, so this succeeding proves the entry exists there).
-        store.index.force_last_used(&live.key().digest_hex(), 42);
+        store.force_last_used(&live.key().digest_hex(), 42);
         assert_eq!(store.entries()[0].last_used, 42);
     }
 

@@ -5,14 +5,28 @@
 //! write protocol that makes this true: stage into a per-call tmp file,
 //! atomically rename into place, serialize manifest read-modify-write
 //! behind the in-process mutex plus the advisory lock file.
+//!
+//! The crash suite at the end runs one generic body against both stores
+//! (both are `pomtlb_trace::Store` over a codec): a store holding what a
+//! crashed writer leaves behind, and a seeded loop that SIGKILLs a child
+//! writer, must both leave a store that verifies, lists exactly its
+//! bodies and loads every one byte for byte.
 
+use std::collections::{BTreeSet, HashMap};
+use std::fs;
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Barrier, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, SystemTime};
 
 use pom_tlb::{run_jobs, share_traces_with_store, Scheme, SimConfig, SimJob, SystemConfig};
-use pomtlb_serve::ReportStore;
-use pomtlb_trace::TraceStore;
+use pomtlb_serve::{ReportStore, TierSnapshot, SERVE_COUNTERS_FILE};
+use pomtlb_trace::digest::digest_hex;
+use pomtlb_trace::manifest::{parse, Row, MANIFEST_FILE, STAGING_MAX_AGE};
+use pomtlb_trace::{
+    Codec, ReportCodec, SharedTrace, Store, TraceCodec, TraceKey, TraceStore, WorkloadSpec,
+};
 use pomtlb_workloads::by_name;
 
 /// The trace test counts against process-global state and every test
@@ -244,4 +258,243 @@ fn racing_trace_store_handles_record_once_each_and_replay_identically() {
     assert_eq!((outcome.store_hits, outcome.store_misses), (2, 0));
     assert_eq!(outcome.recorded, 0, "a warm store regenerates nothing");
     assert_eq!(fingerprints(&run_jobs(jobs, 1)), live, "disk replay stays byte-identical");
+}
+
+// ---------------------------------------------------------------------
+// Crash suite: one generic body, run against each store.
+
+/// A store under the crash suite: the body a writer saves for key `i`,
+/// and how to tell that a loaded value is that body.
+trait Subject: Codec + Sized {
+    fn key(i: u64) -> Self::Key;
+    fn save(store: &Store<Self>, i: u64);
+    fn is_body(value: &Self::Value, i: u64) -> bool;
+    /// Whether a listed row lacks the labels its save recorded.
+    fn unlabelled(row: &Self::Row) -> bool;
+}
+
+impl Subject for ReportCodec {
+    fn key(i: u64) -> [u8; 32] {
+        digest(i)
+    }
+
+    fn save(store: &ReportStore, i: u64) {
+        store.save(&digest(i), &payload(i), "sim", "gups").expect("save a report");
+    }
+
+    fn is_body(value: &Vec<u8>, i: u64) -> bool {
+        *value == payload(i)
+    }
+
+    fn unlabelled(row: &pomtlb_trace::ReportEntry) -> bool {
+        row.kind == "?" || row.workload == "?"
+    }
+}
+
+fn crash_spec() -> WorkloadSpec {
+    WorkloadSpec::builder("crash").footprint_bytes(4 << 20).build()
+}
+
+fn recording(i: u64) -> Arc<SharedTrace> {
+    Arc::new(SharedTrace::generate(&crash_spec(), i, 1, false, 300))
+}
+
+impl Subject for TraceCodec {
+    fn key(i: u64) -> TraceKey {
+        TraceKey { spec: crash_spec(), seed: i, n_cores: 1, shared_memory: false, total_refs: 300 }
+    }
+
+    fn save(store: &TraceStore, i: u64) {
+        store.save(&recording(i)).expect("save a recording");
+    }
+
+    fn is_body(value: &Arc<SharedTrace>, i: u64) -> bool {
+        value.replay().eq(recording(i).replay())
+    }
+
+    fn unlabelled(row: &pomtlb_trace::StoreEntry) -> bool {
+        row.workload == "?"
+    }
+}
+
+fn hex<C: Subject>(i: u64) -> String {
+    digest_hex(&C::digest(&C::key(i)))
+}
+
+/// Writes `bytes` to `path` and sets its mtime `age` in the past.
+fn plant(path: &Path, bytes: &[u8], age: Duration) {
+    fs::write(path, bytes).expect("plant a file");
+    let file = fs::File::options().write(true).open(path).expect("reopen planted file");
+    file.set_modified(SystemTime::now() - age).expect("age planted file");
+}
+
+fn staging_files(root: &Path) -> Vec<PathBuf> {
+    let Ok(dir) = fs::read_dir(root) else { return Vec::new() };
+    dir.flatten().map(|e| e.path()).filter(|p| p.to_string_lossy().ends_with(".tmp")).collect()
+}
+
+/// Plants everything a crashed writer can leave, then checks that a fresh
+/// handle sees a whole store.
+fn planted_leftovers_leave_the_store_whole<C: Subject>() {
+    let dir = TempDir::new(&format!("planted-{}", C::EXT));
+    let root = dir.path();
+    let scratch = TempDir::new(&format!("planted-scratch-{}", C::EXT));
+    {
+        let store = Store::<C>::open(root).expect("open");
+        for i in 0..3 {
+            C::save(&store, i);
+        }
+        // A body renamed into place by a writer that died before its row
+        // flushed: saved elsewhere, then copied in without a row.
+        C::save(&Store::<C>::open(scratch.path()).expect("open scratch"), 3);
+    }
+    let orphan = format!("{}.{}", hex::<C>(3), C::EXT);
+    fs::copy(scratch.path().join(&orphan), root.join(&orphan)).expect("plant the orphan");
+    let aged = STAGING_MAX_AGE + Duration::from_secs(60);
+    plant(&root.join(format!(".{}.4242.0.tmp", hex::<C>(4))), b"half a body", aged);
+    plant(&root.join(".manifest.4242.1.tmp"), b"pomtlb-half-a-manifest", aged);
+    plant(&root.join("manifest.lock"), b"", Duration::from_secs(10));
+    let manifest = root.join(MANIFEST_FILE);
+    let text = fs::read_to_string(&manifest).expect("manifest written on drop");
+    let last = text.trim_end().lines().last().expect("a row").len();
+    fs::write(&manifest, &text[..text.trim_end().len() - last / 2]).expect("tear the last line");
+
+    let fresh = Store::<C>::open(root).expect("fresh handle");
+    let verify = fresh.verify();
+    assert_eq!(verify.len(), 4);
+    assert!(verify.iter().all(|e| e.is_ok()), "verify is clean: {verify:?}");
+    let listed: BTreeSet<String> = fresh.entries().iter().map(|e| e.digest().to_string()).collect();
+    assert_eq!(listed, (0..4).map(hex::<C>).collect(), "entries list exactly the bodies");
+    for i in 0..4 {
+        let value = fresh.load(&C::key(i)).expect("every body loads");
+        assert!(C::is_body(&value, i), "body {i} loads byte for byte");
+    }
+    assert_eq!(fresh.counters().load_failures, 0);
+    assert!(fresh.gc().evicted.is_empty(), "nothing over the default cap");
+    assert_eq!(staging_files(root), Vec::<PathBuf>::new(), "one GC pass swept aged staging files");
+    assert!(!root.join("manifest.lock").exists(), "the stale lock was broken, ours released");
+}
+
+#[test]
+fn planted_leftovers_leave_the_report_store_whole() {
+    let _guard = serialize();
+    planted_leftovers_leave_the_store_whole::<ReportCodec>();
+}
+
+#[test]
+fn planted_leftovers_leave_the_trace_store_whole() {
+    let _guard = serialize();
+    planted_leftovers_leave_the_store_whole::<TraceCodec>();
+}
+
+/// Set only by the kill loop: it turns this test binary into its child
+/// writer, rooted at the variable's directory.
+const CHILD_DIR_VAR: &str = "POMTLB_KILL_LOOP_CHILD_DIR";
+/// Distinct keys the child writer cycles through, per store.
+const CHILD_KEYS: u64 = 12;
+
+/// The kill loop's child writer: saves, loads and GCs on both stores (and
+/// the serve counters snapshot) until it is killed. A no-op in a normal
+/// test run.
+#[test]
+fn kill_loop_child_writer() {
+    let Some(dir) = std::env::var_os(CHILD_DIR_VAR).map(PathBuf::from) else { return };
+    // Caps below the working set, so the flushes' GC passes evict.
+    let reports = ReportStore::open(dir.join("reports")).expect("open").with_max_bytes(2 << 10);
+    let traces = TraceStore::open(dir.join("traces")).expect("open").with_max_bytes(40 << 10);
+    for i in 0.. {
+        let k = i % CHILD_KEYS;
+        <ReportCodec as Subject>::save(&reports, k);
+        let _ = reports.load(&digest(i * 7 % CHILD_KEYS));
+        <TraceCodec as Subject>::save(&traces, k);
+        let _ = traces.load(&TraceCodec::key(i * 5 % CHILD_KEYS));
+        let snapshot = TierSnapshot { computed: i, memoized: i, ..TierSnapshot::default() };
+        snapshot.save(reports.root()).expect("save the serve counters");
+        if i % 8 == 0 {
+            reports.gc();
+            traces.gc();
+        }
+    }
+}
+
+/// splitmix64: the kill loop's seeded delay stream.
+fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+/// What a fresh handle must find after a kill: every body verified or
+/// absent, every present one the child's bytes for its key, no load
+/// failure, no row lost except those of bodies saved after the writer's
+/// last manifest write (its last unflushed second, DESIGN.md §8), and the
+/// staging files it left swept once they age.
+fn check_after_kill<C: Subject>(root: &Path, round: usize) {
+    // Read before any handle opens the store: the killed writer's last
+    // manifest write and the bodies it indexed.
+    let manifest = root.join(MANIFEST_FILE);
+    let written =
+        fs::metadata(&manifest).and_then(|m| m.modified()).unwrap_or(SystemTime::UNIX_EPOCH);
+    let text = fs::read_to_string(&manifest).unwrap_or_default();
+    let indexed: BTreeSet<String> =
+        parse::<C::Row>(&text).iter().map(|r| r.digest().to_string()).collect();
+    let store = Store::<C>::open(root).expect("fresh handle");
+    let verify = store.verify();
+    assert!(verify.iter().all(|e| e.is_ok()), "round {round}: verify {verify:?}");
+    let keys: HashMap<String, u64> = (0..CHILD_KEYS).map(|i| (hex::<C>(i), i)).collect();
+    for row in store.entries() {
+        let digest = row.digest();
+        assert!(keys.contains_key(digest), "round {round}: stray body {digest}");
+        // An indexed `?` row is a report body a load indexed (DESIGN.md §8).
+        if C::unlabelled(&row) && !indexed.contains(digest) {
+            let saved = fs::metadata(store.body_path(digest))
+                .and_then(|m| m.modified())
+                .expect("a listed body has an mtime");
+            assert!(
+                saved + Duration::from_secs(1) >= written,
+                "round {round}: {digest} lost its row but was saved before the last manifest write"
+            );
+        }
+    }
+    for i in 0..CHILD_KEYS {
+        if let Some(value) = store.load(&C::key(i)) {
+            assert!(C::is_body(&value, i), "round {round}: body {i} differs");
+        }
+    }
+    assert_eq!(store.counters().load_failures, 0, "round {round}: a load failed");
+    for path in staging_files(root) {
+        plant(&path, &fs::read(&path).unwrap_or_default(), STAGING_MAX_AGE * 2);
+    }
+    store.gc();
+    assert_eq!(staging_files(root), Vec::<PathBuf>::new(), "round {round}: aged staging left");
+}
+
+#[test]
+fn killed_writers_leave_both_stores_whole() {
+    let _guard = serialize();
+    let dir = TempDir::new("kill-loop");
+    let exe = std::env::current_exe().expect("this test binary");
+    let mut seed = 0x5eed_0fc0_ffee_u64;
+    for round in 0..16 {
+        let delay = Duration::from_millis(10 + splitmix64(&mut seed) % 1200);
+        let mut child = Command::new(&exe)
+            .args(["kill_loop_child_writer", "--exact", "--nocapture", "--test-threads=1"])
+            .env(CHILD_DIR_VAR, dir.path())
+            .stdout(Stdio::null())
+            .spawn()
+            .expect("start the child writer");
+        std::thread::sleep(delay);
+        let exited = child.try_wait().expect("poll the child");
+        assert!(exited.is_none(), "round {round}: the child writer exited early: {exited:?}");
+        child.kill().expect("SIGKILL the child writer");
+        child.wait().expect("reap the child writer");
+        check_after_kill::<ReportCodec>(&dir.path().join("reports"), round);
+        check_after_kill::<TraceCodec>(&dir.path().join("traces"), round);
+        let counters = dir.path().join("reports").join(SERVE_COUNTERS_FILE);
+        if counters.exists() {
+            assert!(TierSnapshot::load(counters.parent().expect("dir")).is_some(), "torn");
+        }
+    }
 }
