@@ -17,13 +17,11 @@
 //! check it byte for byte). The repository benchmark drives the three
 //! calls directly, so it can time setup apart from the loop.
 
-use std::collections::HashMap;
-
 use pomtlb_tlb::{Tsb, VirtTables, WalkMode, MAX_REGIONS};
 use pomtlb_trace::{
     AddressLayout, CoreItem, Interleaver, SharedTraceIter, TraceItem, WorkloadStream,
 };
-use pomtlb_types::{AddressSpace, Cycles, ProcessId, VmId};
+use pomtlb_types::{AddressSpace, Cycles, FastMap, ProcessId, VmId};
 
 use crate::pom_tlb::PomTlb;
 use crate::report::SimReport;
@@ -59,15 +57,19 @@ impl StreamSource {
 /// accepted approximation (every translation structure and the stale
 /// watchdog key on the full [`AddressSpace`], so correctness is
 /// unaffected; only data-cache contention is modeled as slightly higher).
+///
+/// Every reference and event looks its space up here, so the index uses
+/// the unkeyed [`FastMap`] hash; it is never iterated, so its order
+/// cannot reach a report.
 struct SpaceTables {
     list: Vec<VirtTables>,
-    index: HashMap<AddressSpace, usize>,
+    index: FastMap<AddressSpace, usize>,
     walk_mode: WalkMode,
 }
 
 impl SpaceTables {
     fn new(walk_mode: WalkMode) -> SpaceTables {
-        SpaceTables { list: Vec::new(), index: HashMap::new(), walk_mode }
+        SpaceTables { list: Vec::new(), index: FastMap::default(), walk_mode }
     }
 
     /// Index of `space`'s tables, creating them on first sight.
@@ -506,6 +508,48 @@ mod tests {
                 assert_eq!(in_steps(job, 500), fingerprint(&result.report), "slot {idx}");
             }
         }
+    }
+
+    /// Bytes one node took when every node held all 512 slots: 2 KiB of
+    /// four-byte slots and its 8-byte address.
+    const FLAT_NODE_BYTES: u64 = 512 * 4 + 8;
+
+    /// Page-table nodes across every space's tables, and what the flat
+    /// layout spent on them.
+    fn flat_table_bytes(sim: &ChunkSim) -> u64 {
+        let nodes: u64 = sim.tables.list.iter().map(|t| t.node_bytes() / 4096).sum();
+        nodes * FLAT_NODE_BYTES
+    }
+
+    /// A 1,000-tenant population touches a few dozen pages per tenant, so
+    /// nearly every node is sparse: chunked nodes must cost under 30% of
+    /// the flat layout for the same nodes.
+    #[test]
+    fn sparse_tenant_tables_cost_a_fraction_of_flat_nodes() {
+        let spec = pomtlb_workloads::consolidation::consolidation_spec(1_000, Some((2.0, 4.0)));
+        let sim_cfg = SimConfig { refs_per_core: 1_500, warmup_per_core: 500, seed: 31 };
+        let job = SimJob::new("tenants", &spec, Scheme::Baseline, sim_cfg)
+            .with_system_config(SystemConfig { n_cores: 4, ..Default::default() })
+            .shared_memory(true);
+        let mut sim = job.to_simulation().begin();
+        sim.advance(u64::MAX);
+        let spaces = sim.tables.list.len();
+        assert!(spaces > 300, "only {spaces} address spaces were touched");
+        let (chunked, flat) = (sim.storage_bytes().page_tables, flat_table_bytes(&sim));
+        assert!(chunked * 10 <= flat * 3, "{chunked} B chunked against {flat} B flat");
+    }
+
+    /// A prepopulated paper layout fills its nodes: chunks cost at most 5%
+    /// more than the flat layout there.
+    #[test]
+    fn dense_tables_cost_about_what_flat_nodes_did() {
+        let gcc = pomtlb_workloads::by_name("gcc").expect("gcc is a paper workload");
+        let sim_cfg = SimConfig { refs_per_core: 10, warmup_per_core: 0, seed: 31 };
+        let job = SimJob::new("gcc", &gcc.spec, Scheme::Baseline, sim_cfg)
+            .with_system_config(SystemConfig { n_cores: 2, ..Default::default() });
+        let sim = job.to_simulation().begin();
+        let (chunked, flat) = (sim.storage_bytes().page_tables, flat_table_bytes(&sim));
+        assert!(chunked * 100 <= flat * 105, "{chunked} B chunked against {flat} B flat");
     }
 
     #[test]

@@ -138,6 +138,30 @@ const IDX_MASK: u64 = 0x1ff;
 /// Slot entries per radix node: 512 eight-byte PTEs in a 4 KB node page.
 const NODE_SLOTS: usize = 512;
 
+/// Slots per storage chunk: 32 four-byte words, 128 B, two host cache
+/// lines. Tenant tables are mostly empty, so a node that holds a few
+/// scattered mappings costs a few hundred bytes instead of 2 KiB, while
+/// a full node pays only its 64-byte chunk table on top of its slots.
+const CHUNK_SLOTS: usize = 32;
+
+/// Chunk-table entries per node.
+const NODE_CHUNKS: usize = NODE_SLOTS / CHUNK_SLOTS;
+
+/// Nodes and chunks every table reserves room for when it is created. The
+/// median consolidation tenant's table (about 7 nodes and 14 chunks) fits,
+/// so mapping in the reference loop does not regrow the arena step by step.
+const RESERVED_NODES: usize = 8;
+const RESERVED_CHUNKS: usize = 16;
+
+/// Path-cache entries. Direct-mapped on the low bits of the 2 MiB
+/// prefix, so 32 consecutive prefixes (64 MiB of 4 KiB pages) never evict
+/// each other, and the cache costs 512 B per table.
+const PATH_CACHE_ENTRIES: usize = 32;
+
+/// Virtual-address bits 21..48, the 2 MiB prefix the four radix levels
+/// index above the PT slot (the table ignores higher bits).
+const PREFIX_MASK: u64 = (1 << 27) - 1;
+
 /// Slot-word tag distinguishing leaves from child links.
 const LEAF_BIT: u32 = 1 << 31;
 
@@ -148,11 +172,15 @@ const FRAME_SHIFT: u32 = 12;
 /// Shifts of the four x86-64 radix levels, root-first.
 const LEVEL_SHIFTS: [u32; 4] = [39, 30, 21, 12];
 
-/// One 4-level x86-style radix page table, stored as a flat node arena.
+/// One 4-level x86-style radix page table, stored as a node arena of
+/// on-demand chunks.
 ///
-/// Every node — root included — lives in one contiguous slot vector, 512
-/// four-byte slot words per node; `node_phys[i]` holds the simulated
-/// physical address of node `i`. A slot word is one of:
+/// Every node — root included — is an arena index; `node_phys[i]` holds
+/// the simulated physical address of node `i`. A node's 512 four-byte
+/// slot words live in 16 chunks of 32, each allocated on its first
+/// non-zero write; until then the node's chunk-table entry names the
+/// shared all-zero chunk 0, so a read is two indexed loads and no branch.
+/// A slot word is one of:
 ///
 /// * `0` — empty;
 /// * a **child link**: the child's arena index plus one (the `+1` keeps
@@ -167,39 +195,53 @@ const LEVEL_SHIFTS: [u32; 4] = [39, 30, 21, 12];
 /// Translations and walks descend by indexed loads only — no hashing.
 /// This is the simulator's hottest data structure: `translate_page` runs
 /// for every simulated memory reference and a virtualized walk reads up to
-/// 24 table locations, each of which used to cost a hash-map probe.
+/// 24 table locations. A direct-mapped path cache from a 2 MiB prefix to
+/// the PDP, PD and PT nodes on its path lets a 4 KB translation, walk or
+/// map skip the three interior levels; `map` fills it when it installs a
+/// 4 KB leaf. A cached path cannot go stale: interior links are
+/// append-only (`map` panics rather than put a leaf over a link or a link
+/// over a leaf, and `unmap` clears only leaves), so only
+/// [`RadixPageTable::restore`] clears it.
 ///
 /// Node pages are allocated from the table's own [`FrameAlloc`]; the table
 /// does not model PTE contents (permissions etc.), only the structure the
 /// walker traverses.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RadixPageTable {
     root: u64,
-    /// Slot words of every node, concatenated: node `i` owns
-    /// `slots[i * NODE_SLOTS .. (i + 1) * NODE_SLOTS]`.
-    slots: Vec<u32>,
-    /// Physical address of each arena node; index 0 is the root.
+    /// Chunk table: node `i`'s slots `32 k .. 32 (k + 1)` live in chunk
+    /// `chunk_of[i * NODE_CHUNKS + k]`.
+    chunk_of: Vec<u32>,
+    /// Slot words, 32 per chunk; chunk 0 is all-zero and never written.
+    chunks: Vec<[u32; CHUNK_SLOTS]>,
+    /// Physical address of each arena node, in creation order; index 0 is
+    /// the root.
     node_phys: Vec<u64>,
     n_small: u64,
     n_large: u64,
     alloc: FrameAlloc,
-    /// Node pages created since the last [`RadixPageTable::take_new_nodes`]
-    /// call — the hypervisor layer must back these with host frames.
-    new_nodes: Vec<u64>,
+    paths: PathCache,
 }
 
 impl RadixPageTable {
     /// Creates an empty table whose nodes come from `alloc`.
     pub fn new(mut alloc: FrameAlloc) -> RadixPageTable {
         let root = alloc.alloc(NODE_BYTES);
+        let mut chunk_of = Vec::with_capacity(RESERVED_NODES * NODE_CHUNKS);
+        chunk_of.resize(NODE_CHUNKS, 0);
+        let mut chunks = Vec::with_capacity(RESERVED_CHUNKS);
+        chunks.push([0; CHUNK_SLOTS]);
+        let mut node_phys = Vec::with_capacity(RESERVED_NODES);
+        node_phys.push(root);
         RadixPageTable {
             root,
-            slots: vec![0; NODE_SLOTS],
-            node_phys: vec![root],
+            chunk_of,
+            chunks,
+            node_phys,
             n_small: 0,
             n_large: 0,
             alloc,
-            new_nodes: vec![root],
+            paths: PathCache::EMPTY,
         }
     }
 
@@ -213,14 +255,33 @@ impl RadixPageTable {
         self.n_small + self.n_large
     }
 
+    /// The word in `node`'s slot `idx`.
+    #[inline]
+    fn slot(&self, node: usize, idx: usize) -> u32 {
+        self.chunks[self.chunk_of[node * NODE_CHUNKS + idx / CHUNK_SLOTS] as usize]
+            [idx % CHUNK_SLOTS]
+    }
+
+    /// Writes `word` into `node`'s slot `idx`, allocating the slot's chunk
+    /// if it is still the shared empty one.
+    fn set_slot(&mut self, node: usize, idx: usize, word: u32) {
+        let at = node * NODE_CHUNKS + idx / CHUNK_SLOTS;
+        if self.chunk_of[at] == 0 {
+            let chunk = self.chunks.len();
+            assert!(chunk < u32::MAX as usize, "chunk index {chunk} exceeds 32 bits");
+            self.chunks.push([0; CHUNK_SLOTS]);
+            self.chunk_of[at] = chunk as u32;
+        }
+        self.chunks[self.chunk_of[at] as usize][idx % CHUNK_SLOTS] = word;
+    }
+
     /// Allocates a fresh empty node and returns its arena index.
     fn add_node(&mut self) -> usize {
         let phys = self.alloc.alloc(NODE_BYTES);
         let idx = self.node_phys.len();
         assert!(idx < (LEAF_BIT - 1) as usize, "arena index {idx} exceeds 31-bit child links");
         self.node_phys.push(phys);
-        self.slots.resize(self.slots.len() + NODE_SLOTS, 0);
-        self.new_nodes.push(phys);
+        self.chunk_of.resize(self.chunk_of.len() + NODE_CHUNKS, 0);
         idx
     }
 
@@ -241,29 +302,23 @@ impl RadixPageTable {
             target_base >> FRAME_SHIFT < LEAF_BIT as u64,
             "target {target_base:#x} exceeds the 31-bit leaf frame field"
         );
-        let leaf_level = match size {
-            PageSize::Small4K => 3, // leaf slot in the L1 node
-            PageSize::Large2M => 2, // leaf slot in the L2 node
+        let (node, leaf_level) = match size {
+            PageSize::Small4K => {
+                let path = match self.paths.get(va) {
+                    Some(path) => path,
+                    None => {
+                        let path = self.descend_creating(va, size, 3);
+                        self.paths.insert(va, path);
+                        path
+                    }
+                };
+                (path[2], 3) // leaf slot in the L1 (PT) node
+            }
+            PageSize::Large2M => (self.descend_creating(va, size, 2)[1], 2), // in the PD node
             PageSize::Huge1G => unreachable!(),
         };
-        let mut node = 0usize;
-        for shift in &LEVEL_SHIFTS[..leaf_level] {
-            let pos = node * NODE_SLOTS + ((va >> shift) & IDX_MASK) as usize;
-            let slot = self.slots[pos];
-            node = if slot == 0 {
-                let child = self.add_node();
-                self.slots[pos] = child as u32 + 1;
-                child
-            } else {
-                assert!(
-                    slot & LEAF_BIT == 0,
-                    "mapping {va:#x} ({size}) under an existing larger-page leaf is not modeled"
-                );
-                (slot - 1) as usize
-            };
-        }
-        let pos = node * NODE_SLOTS + ((va >> LEVEL_SHIFTS[leaf_level]) & IDX_MASK) as usize;
-        let old = self.slots[pos];
+        let idx = index(va, leaf_level);
+        let old = self.slot(node as usize, idx);
         assert!(
             old == 0 || old & LEAF_BIT != 0,
             "2 MB mapping at {va:#x} would overwrite an interior node of 4 KB mappings"
@@ -275,14 +330,43 @@ impl RadixPageTable {
                 PageSize::Huge1G => unreachable!(),
             }
         }
-        self.slots[pos] = (target_base >> FRAME_SHIFT) as u32 | LEAF_BIT;
+        self.set_slot(node as usize, idx, (target_base >> FRAME_SHIFT) as u32 | LEAF_BIT);
+    }
+
+    /// Descends from the root through `leaf_level` interior levels,
+    /// creating missing nodes, and returns the arena indices of the nodes
+    /// below the root on the way: PDP, PD and (for a 4 KB leaf) PT.
+    fn descend_creating(&mut self, va: u64, size: PageSize, leaf_level: usize) -> [u32; 3] {
+        let mut path = [0; 3];
+        let mut node = 0usize;
+        for (level, below) in path.iter_mut().enumerate().take(leaf_level) {
+            let idx = index(va, level);
+            let slot = self.slot(node, idx);
+            node = if slot == 0 {
+                let child = self.add_node();
+                self.set_slot(node, idx, child as u32 + 1);
+                child
+            } else {
+                assert!(
+                    slot & LEAF_BIT == 0,
+                    "mapping {va:#x} ({size}) under an existing larger-page leaf is not modeled"
+                );
+                (slot - 1) as usize
+            };
+            *below = node as u32;
+        }
+        path
     }
 
     /// Translates `va` (any offset), returning the mapped base and size.
     pub fn translate_page(&self, va: u64) -> Option<(u64, PageSize)> {
+        if let Some(path) = self.paths.get(va) {
+            let slot = self.slot(path[2] as usize, index(va, 3));
+            return (slot != 0).then(|| (leaf_target(slot), PageSize::Small4K));
+        }
         let mut node = 0usize;
-        for (level, shift) in LEVEL_SHIFTS.iter().enumerate() {
-            let slot = self.slots[node * NODE_SLOTS + ((va >> shift) & IDX_MASK) as usize];
+        for level in 0..4 {
+            let slot = self.slot(node, index(va, level));
             if slot == 0 {
                 return None;
             }
@@ -308,12 +392,31 @@ impl RadixPageTable {
     ///
     /// Returns `None` for unmapped addresses.
     pub fn walk(&self, va: u64) -> Option<WalkPath> {
+        if let Some([pdp, pd, pt]) = self.paths.get(va) {
+            let slot = self.slot(pt as usize, index(va, 3));
+            if slot == 0 {
+                return None;
+            }
+            let nodes = [
+                self.root,
+                self.node_phys[pdp as usize],
+                self.node_phys[pd as usize],
+                self.node_phys[pt as usize],
+            ];
+            let ptes = std::array::from_fn(|level| nodes[level] + index(va, level) as u64 * PTE_BYTES);
+            return Some(WalkPath {
+                pte_addrs: PathLevels { addrs: ptes, len: 4 },
+                node_addrs: PathLevels { addrs: nodes, len: 4 },
+                target_base: leaf_target(slot),
+                size: PageSize::Small4K,
+            });
+        }
         let mut pte_addrs = PathLevels::new();
         let mut node_addrs = PathLevels::new();
         let mut node = 0usize;
-        for (level, shift) in LEVEL_SHIFTS.iter().enumerate() {
-            let idx = ((va >> shift) & IDX_MASK) as usize;
-            let slot = self.slots[node * NODE_SLOTS + idx];
+        for level in 0..4 {
+            let idx = index(va, level);
+            let slot = self.slot(node, idx);
             if slot == 0 {
                 return None;
             }
@@ -339,18 +442,18 @@ impl RadixPageTable {
             PageSize::Huge1G => return false,
         };
         let mut node = 0usize;
-        for shift in &LEVEL_SHIFTS[..leaf_level] {
-            let slot = self.slots[node * NODE_SLOTS + ((va >> shift) & IDX_MASK) as usize];
+        for level in 0..leaf_level {
+            let slot = self.slot(node, index(va, level));
             if slot == 0 || slot & LEAF_BIT != 0 {
                 return false;
             }
             node = (slot - 1) as usize;
         }
-        let pos = node * NODE_SLOTS + ((va >> LEVEL_SHIFTS[leaf_level]) & IDX_MASK) as usize;
-        if self.slots[pos] & LEAF_BIT == 0 {
+        let idx = index(va, leaf_level);
+        if self.slot(node, idx) & LEAF_BIT == 0 {
             return false; // empty, or an interior node of the other size
         }
-        self.slots[pos] = 0;
+        self.set_slot(node, idx, 0);
         match size {
             PageSize::Small4K => self.n_small -= 1,
             PageSize::Large2M => self.n_large -= 1,
@@ -359,21 +462,17 @@ impl RadixPageTable {
         true
     }
 
-    /// Drains the list of node pages created since the last call.
-    pub fn take_new_nodes(&mut self) -> Vec<u64> {
-        std::mem::take(&mut self.new_nodes)
-    }
-
     /// Bytes of node storage allocated so far, in simulated physical
     /// memory (4 KB per node).
     pub fn node_bytes(&self) -> u64 {
         self.node_phys.len() as u64 * NODE_BYTES
     }
 
-    /// Bytes the arena itself occupies in the simulator: slot words plus
-    /// the node address list.
+    /// Bytes the table itself occupies in the simulator: chunk tables,
+    /// chunks, the node address list and the path cache.
     pub fn storage_bytes(&self) -> u64 {
-        arena_bytes(&self.slots, &self.node_phys)
+        arena_bytes(&self.chunk_of, &self.chunks, &self.node_phys)
+            + std::mem::size_of::<PathCache>() as u64
     }
 
     /// Captures the table's complete state. The arena layout makes this a
@@ -381,57 +480,92 @@ impl RadixPageTable {
     pub fn snapshot(&self) -> TableSnapshot {
         TableSnapshot {
             root: self.root,
-            slots: self.slots.clone(),
+            chunk_of: self.chunk_of.clone(),
+            chunks: self.chunks.clone(),
             node_phys: self.node_phys.clone(),
             n_small: self.n_small,
             n_large: self.n_large,
             alloc: self.alloc.clone(),
-            new_nodes: self.new_nodes.clone(),
         }
     }
 
     /// Rewinds the table to a previously captured [`TableSnapshot`].
     ///
     /// Restoring into the table that took the snapshot reuses its existing
-    /// slot storage (mappings installed since the snapshot only ever *grow*
-    /// the arena, so the capacity is already there) — the rewind is a
-    /// memcpy, not a reallocation.
+    /// storage (mappings installed since the snapshot only ever *grow* the
+    /// arena, so the capacity is already there) — the rewind is a memcpy,
+    /// not a reallocation. It empties the path cache, whose entries may
+    /// name nodes the rewind removed.
     pub fn restore(&mut self, snap: &TableSnapshot) {
         self.root = snap.root;
-        self.slots.clear();
-        self.slots.extend_from_slice(&snap.slots);
+        self.chunk_of.clear();
+        self.chunk_of.extend_from_slice(&snap.chunk_of);
+        self.chunks.clear();
+        self.chunks.extend_from_slice(&snap.chunks);
         self.node_phys.clear();
         self.node_phys.extend_from_slice(&snap.node_phys);
         self.n_small = snap.n_small;
         self.n_large = snap.n_large;
         self.alloc = snap.alloc.clone();
-        self.new_nodes.clear();
-        self.new_nodes.extend_from_slice(&snap.new_nodes);
+        self.paths = PathCache::EMPTY;
+    }
+}
+
+/// A direct-mapped cache from a 2 MiB prefix to the arena indices of the
+/// PDP, PD and PT nodes on its path, private to one [`RadixPageTable`].
+#[derive(Debug, Clone)]
+struct PathCache {
+    entries: [PathEntry; PATH_CACHE_ENTRIES],
+}
+
+#[derive(Debug, Clone, Copy)]
+struct PathEntry {
+    /// The 2 MiB prefix; `u32::MAX` (above [`PREFIX_MASK`]) when empty.
+    prefix: u32,
+    nodes: [u32; 3],
+}
+
+impl PathCache {
+    const EMPTY: PathCache =
+        PathCache { entries: [PathEntry { prefix: u32::MAX, nodes: [0; 3] }; PATH_CACHE_ENTRIES] };
+
+    #[inline]
+    fn get(&self, va: u64) -> Option<[u32; 3]> {
+        let prefix = prefix_of(va);
+        let entry = &self.entries[prefix as usize % PATH_CACHE_ENTRIES];
+        (entry.prefix == prefix).then_some(entry.nodes)
+    }
+
+    fn insert(&mut self, va: u64, nodes: [u32; 3]) {
+        let prefix = prefix_of(va);
+        self.entries[prefix as usize % PATH_CACHE_ENTRIES] = PathEntry { prefix, nodes };
     }
 }
 
 /// A point-in-time copy of one [`RadixPageTable`]'s complete state — the
-/// flat slot arena, the node address list, and the frame allocator cursor.
+/// chunk tables, the chunks, the node address list, and the frame
+/// allocator cursor.
 ///
-/// Because the table is a single contiguous arena, capture and
+/// Because the table is a single arena, capture and
 /// [`RadixPageTable::restore`] are both O(table bytes) memcpys with no
 /// pointer graph to chase; this is what makes fork/VM-clone modeling
 /// cheap.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TableSnapshot {
     root: u64,
-    slots: Vec<u32>,
+    chunk_of: Vec<u32>,
+    chunks: Vec<[u32; CHUNK_SLOTS]>,
     node_phys: Vec<u64>,
     n_small: u64,
     n_large: u64,
     alloc: FrameAlloc,
-    new_nodes: Vec<u64>,
 }
 
 impl TableSnapshot {
-    /// Bytes of arena state this snapshot carries (slot words + node list).
+    /// Bytes of arena state this snapshot carries (chunk tables, chunks
+    /// and the node list).
     pub fn arena_bytes(&self) -> u64 {
-        arena_bytes(&self.slots, &self.node_phys)
+        arena_bytes(&self.chunk_of, &self.chunks, &self.node_phys)
     }
 
     /// Number of leaf mappings the captured table held.
@@ -440,14 +574,27 @@ impl TableSnapshot {
     }
 }
 
+/// The slot index `va` selects in a node at radix `level` (0 = root).
+#[inline]
+fn index(va: u64, level: usize) -> usize {
+    ((va >> LEVEL_SHIFTS[level]) & IDX_MASK) as usize
+}
+
+/// The 2 MiB prefix a path-cache entry is tagged with.
+#[inline]
+fn prefix_of(va: u64) -> u32 {
+    ((va >> 21) & PREFIX_MASK) as u32
+}
+
 /// The base address a leaf slot word maps to.
 #[inline]
 fn leaf_target(slot: u32) -> u64 {
     ((slot & !LEAF_BIT) as u64) << FRAME_SHIFT
 }
 
-fn arena_bytes(slots: &[u32], node_phys: &[u64]) -> u64 {
-    (std::mem::size_of_val(slots) + std::mem::size_of_val(node_phys)) as u64
+fn arena_bytes(chunk_of: &[u32], chunks: &[[u32; CHUNK_SLOTS]], node_phys: &[u64]) -> u64 {
+    (std::mem::size_of_val(chunk_of) + std::mem::size_of_val(chunks) + std::mem::size_of_val(node_phys))
+        as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -474,7 +621,7 @@ const HPA_NODE_SIZE: u64 = 0x8_0000_0000;
 /// In [`WalkMode::Native`] only the host table is used (it maps the
 /// process's virtual addresses straight to host-physical frames), giving the
 /// 1-D walk the paper's Figure 3 compares against.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct VirtTables {
     mode: WalkMode,
     guest: Option<RadixPageTable>,
@@ -517,7 +664,7 @@ impl VirtTables {
             host_data: FrameAlloc::new(data_base, data_stride),
         };
         // The guest table's root page itself needs host backing.
-        tables.back_new_guest_nodes();
+        tables.back_guest_nodes(0);
         tables
     }
 
@@ -551,18 +698,22 @@ impl VirtTables {
             WalkMode::Virtualized => {
                 let gpa = self.guest_data.alloc(size.bytes());
                 let guest = self.guest.as_mut().expect("virtualized mode has a guest table");
+                let first_new = guest.node_phys.len();
                 guest.map(va, size, gpa);
                 let hpa = self.host_data.alloc(size.bytes());
                 self.host.map(gpa, size, hpa);
-                self.back_new_guest_nodes();
+                self.back_guest_nodes(first_new);
                 Hpa::new(hpa)
             }
         }
     }
 
-    fn back_new_guest_nodes(&mut self) {
-        let Some(guest) = self.guest.as_mut() else { return };
-        for node_gpa in guest.take_new_nodes() {
+    /// Backs the guest table's node pages from arena index `first` on with
+    /// host frames, in creation order — the hypervisor must back them like
+    /// any other guest page.
+    fn back_guest_nodes(&mut self, first: usize) {
+        let Some(guest) = &self.guest else { return };
+        for &node_gpa in &guest.node_phys[first..] {
             let hpa = self.host_data.alloc(NODE_BYTES);
             self.host.map(node_gpa, PageSize::Small4K, hpa);
         }
@@ -690,7 +841,7 @@ impl VirtTables {
 /// A point-in-time copy of a whole [`VirtTables`] — guest and host
 /// [`TableSnapshot`]s plus the data-frame allocator cursors. Captured by
 /// [`VirtTables::snapshot`], rewound by [`VirtTables::restore`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TablesSnapshot {
     mode: WalkMode,
     guest: Option<TableSnapshot>,
@@ -1014,21 +1165,71 @@ mod tests {
 
     #[test]
     fn storage_is_four_bytes_per_slot() {
+        // A node costs its 16-entry chunk table and its address (72 B); a
+        // chunk of 32 four-byte slots (128 B) exists once one of its slots
+        // is non-zero, beside the shared empty chunk; the path cache is
+        // 512 B.
+        let node = |nodes: u64, chunks: u64| nodes * 72 + (1 + chunks) * 128 + 512;
         let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
-        assert_eq!(t.storage_bytes(), 512 * 4 + 8, "root node: 512 slots + its address");
+        assert_eq!(t.storage_bytes(), node(1, 0), "root node, the empty chunk, the path cache");
         t.map(0x1000_0000_0000, PageSize::Small4K, 0x1000);
-        assert_eq!(t.storage_bytes(), 4 * (512 * 4 + 8));
-        assert_eq!(t.snapshot().arena_bytes(), t.storage_bytes());
+        assert_eq!(t.storage_bytes(), node(4, 4), "one chunk per level holds the path");
+        assert_eq!(t.snapshot().arena_bytes(), t.storage_bytes() - 512, "a snapshot has no cache");
+        t.map(0x1000_0000_1000, PageSize::Small4K, 0x2000);
+        assert_eq!(t.storage_bytes(), node(4, 4), "slot 1 shares slot 0's chunk");
+        t.map(0x1000_0002_0000, PageSize::Small4K, 0x3000);
+        assert_eq!(t.storage_bytes(), node(4, 5), "slot 32 starts the next chunk");
+        for page in 0..512 {
+            t.map(0x1000_0000_0000 + (page << 12), PageSize::Small4K, page << 12);
+        }
+        // A full node: 2,048 B of slots + 72 B, against 2,056 B flat.
+        assert_eq!(t.storage_bytes(), node(4, 3 + 16));
     }
 
-    /// The `u64`-slot radix table the 4-byte slots replaced — a leaf holds
-    /// the full target address with bit 63 set — kept as an independent
-    /// model of their behaviour.
+    #[test]
+    fn only_4k_mappings_enter_the_path_cache() {
+        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
+        t.map(0x4000_0000, PageSize::Large2M, 0x8000_0000);
+        assert!(t.paths.entries.iter().all(|e| e.prefix == u32::MAX), "2 MB leaves are not cached");
+        assert_eq!(t.translate(0x4000_1234), Some(0x8000_1234));
+
+        t.map(0x5000_0000_0000, PageSize::Small4K, 0x9000);
+        let path = t.paths.get(0x5000_001f_f123).expect("the 4 KB leaf cached its 2 MB prefix");
+        let w = t.walk(0x5000_0000_0000).unwrap();
+        assert_eq!(path.map(|n| t.node_phys[n as usize]), [w.node_addrs[1], w.node_addrs[2], w.node_addrs[3]]);
+        // A cached prefix still reports its unmapped pages as unmapped.
+        assert_eq!(t.translate(0x5000_0000_1000), None);
+        assert_eq!(t.walk(0x5000_0000_1000), None);
+        assert!(!t.unmap(0x5000_0000_1000, PageSize::Small4K));
+    }
+
+    #[test]
+    #[should_panic(expected = "under an existing larger-page leaf")]
+    fn a_4k_mapping_under_a_2m_leaf_panics() {
+        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
+        t.map(0x4000_0000, PageSize::Large2M, 0x8000_0000);
+        t.map(0x4000_1000, PageSize::Small4K, 0x9000);
+    }
+
+    #[test]
+    #[should_panic(expected = "would overwrite an interior node")]
+    fn a_2m_mapping_over_a_cached_4k_path_panics() {
+        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
+        t.map(0x4000_1000, PageSize::Small4K, 0x9000);
+        t.map(0x4000_0000, PageSize::Large2M, 0x8000_0000);
+    }
+
+    /// The flat `u64`-slot radix table the chunked 4-byte slots replaced —
+    /// a leaf holds the full target address with bit 63 set — kept as an
+    /// independent model of their behaviour. It also notes which 32-slot
+    /// chunks were ever written, which fixes the chunked table's storage.
+    #[derive(Clone)]
     struct RefTable {
         slots: Vec<u64>,
         node_phys: Vec<u64>,
         n_mapped: u64,
         alloc: FrameAlloc,
+        written: Vec<bool>,
     }
 
     impl RefTable {
@@ -1036,7 +1237,20 @@ mod tests {
 
         fn new(mut alloc: FrameAlloc) -> RefTable {
             let root = alloc.alloc(NODE_BYTES);
-            RefTable { slots: vec![0; NODE_SLOTS], node_phys: vec![root], n_mapped: 0, alloc }
+            let written = vec![false; NODE_CHUNKS];
+            RefTable { slots: vec![0; NODE_SLOTS], node_phys: vec![root], n_mapped: 0, alloc, written }
+        }
+
+        /// Chunk tables, written chunks plus the shared empty one, node
+        /// addresses and the path cache.
+        fn chunked_bytes(&self) -> u64 {
+            let chunks = 1 + self.written.iter().filter(|&&w| w).count();
+            (self.node_phys.len() * (NODE_CHUNKS * 4 + 8) + chunks * CHUNK_SLOTS * 4 + 512) as u64
+        }
+
+        fn set(&mut self, pos: usize, word: u64) {
+            self.slots[pos] = word;
+            self.written[pos / CHUNK_SLOTS] |= word != 0;
         }
 
         fn pos(node: usize, va: u64, level: usize) -> usize {
@@ -1051,8 +1265,9 @@ mod tests {
                 if self.slots[pos] == 0 {
                     self.node_phys.push(self.alloc.alloc(NODE_BYTES));
                     self.slots.resize(self.slots.len() + NODE_SLOTS, 0);
+                    self.written.resize(self.written.len() + NODE_CHUNKS, false);
                     // The new node's index plus one.
-                    self.slots[pos] = self.node_phys.len() as u64;
+                    self.set(pos, self.node_phys.len() as u64);
                 }
                 node = (self.slots[pos] - 1) as usize;
             }
@@ -1060,7 +1275,7 @@ mod tests {
             if self.slots[pos] == 0 {
                 self.n_mapped += 1;
             }
-            self.slots[pos] = target | Self::LEAF;
+            self.set(pos, target | Self::LEAF);
         }
 
         fn walk(&self, va: u64) -> Option<WalkPath> {
@@ -1101,15 +1316,17 @@ mod tests {
             if self.slots[pos] & Self::LEAF == 0 {
                 return false;
             }
-            self.slots[pos] = 0;
+            self.set(pos, 0);
             self.n_mapped -= 1;
             true
         }
     }
 
-    /// Replays a seeded map/unmap/translate/walk script against the 4-byte
-    /// slot table and the `u64`-slot reference model, asserting identical
-    /// results, mapping counts and node allocation.
+    /// Replays a seeded map/unmap/translate/walk/snapshot/restore script
+    /// against the chunked 4-byte slot table and the `u64`-slot reference
+    /// model, asserting identical results, mapping counts, node allocation
+    /// and storage. A restore must drop the cached paths of the nodes it
+    /// rewinds away.
     #[test]
     fn packed_slots_match_u64_reference() {
         // Node pages at the top of the host page-table region, so every
@@ -1117,6 +1334,7 @@ mod tests {
         let alloc = FrameAlloc::new(HPA_NODE_BASE + HPA_NODE_SIZE - (64 << 20), 64 << 20);
         let mut t = RadixPageTable::new(alloc.clone());
         let mut model = RefTable::new(alloc);
+        let mut saved = (t.snapshot(), model.clone());
         // Targets at the top of each simulated physical region.
         let tops = [
             GPA_DATA_BASE + GPA_DATA_SIZE,
@@ -1133,8 +1351,9 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             x >> 17
         };
+        let (mut snapshots, mut restores) = (0, 0);
         for step in 0..30_000u32 {
-            let op = next() % 8;
+            let op = next() % 64;
             let r = next();
             let size = PageSize::POM_SIZES[(r & 1) as usize];
             let (small_base, large_base) = windows[((r >> 1) % 2) as usize];
@@ -1149,24 +1368,36 @@ mod tests {
             };
             let probe = va + (r >> 40) % size.bytes();
             match op {
-                0..=2 => {
+                0..=23 => {
                     t.map(va, size, target);
                     model.map(va, size, target);
                 }
-                3 => assert_eq!(t.unmap(va, size), model.unmap(va, size), "unmap diverged at step {step}"),
-                4..=5 => assert_eq!(t.translate(probe), model.translate(probe), "translate at step {step}"),
-                _ => assert_eq!(t.walk(probe), model.walk(probe), "walk diverged at step {step}"),
+                24..=31 => assert_eq!(t.unmap(va, size), model.unmap(va, size), "unmap diverged at step {step}"),
+                32..=46 => assert_eq!(t.translate(probe), model.translate(probe), "translate at step {step}"),
+                47..=61 => assert_eq!(t.walk(probe), model.walk(probe), "walk diverged at step {step}"),
+                62 => {
+                    saved = (t.snapshot(), model.clone());
+                    snapshots += 1;
+                }
+                _ => {
+                    t.restore(&saved.0);
+                    model = saved.1.clone();
+                    restores += 1;
+                }
             }
             if step.is_multiple_of(1000) {
                 assert_eq!(t.mapping_count(), model.n_mapped, "mapping count at step {step}");
                 assert_eq!(t.node_phys, model.node_phys, "node allocation at step {step}");
+                assert_eq!(t.storage_bytes(), model.chunked_bytes(), "storage at step {step}");
             }
         }
+        assert!(snapshots > 100 && restores > 100, "{snapshots} snapshots, {restores} restores");
         assert_eq!(t.mapping_count(), model.n_mapped);
         assert!(t.mapping_count() > 1000);
         assert_eq!(t.node_phys, model.node_phys);
-        let halved = t.slots.len() * 4;
-        assert_eq!(model.slots.len() * 8, 2 * halved, "same slots at half the bytes");
+        assert_eq!(t.storage_bytes(), model.chunked_bytes());
+        let flat = model.node_phys.len() as u64 * (NODE_SLOTS as u64 * 4 + 8);
+        assert!(t.storage_bytes() < flat, "{} chunked bytes against {flat} flat", t.storage_bytes());
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! A fast, deterministic hasher for simulator-internal maps.
 //!
-//! The per-reference hot path probes `HashMap<u64, u64>` page-table maps on
-//! every memory reference (`RadixPageTable::translate_page`). The standard
-//! library's default SipHash-1-3 is keyed and DoS-resistant — properties a
-//! simulator hashing its *own* page numbers does not need — and costs a
-//! long dependency chain per probe. This module provides an FxHash-style
+//! The per-reference hot path looks up each reference's address space in
+//! a map (`SpaceTables::slot` in `pom_tlb::chunk`) before it descends
+//! that space's radix page tables. The standard library's default
+//! SipHash-1-3 is keyed and DoS-resistant — properties a simulator
+//! hashing its *own* identifiers does not need — and costs a long
+//! dependency chain per probe. This module provides an FxHash-style
 //! multiply-xor hasher: one wrapping multiply per 8 bytes, unkeyed, and
 //! identical across runs and platforms, which also removes a source of
 //! incidental nondeterminism (`RandomState` seeds differ per process even
@@ -57,6 +58,11 @@ impl Hasher for FastHasher {
 
     #[inline]
     fn write_u32(&mut self, v: u32) {
+        self.add_word(v as u64);
+    }
+
+    #[inline]
+    fn write_u16(&mut self, v: u16) {
         self.add_word(v as u64);
     }
 
