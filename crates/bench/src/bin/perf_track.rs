@@ -23,9 +23,12 @@
 //! cross-checks that all runs produced identical reports (the runner's and
 //! trace cache's determinism contracts) and fails loudly if they did not.
 //!
-//! Each `per_scheme` row also carries `storage_bytes`: the POM-TLB, TSB
-//! and page-table storage the largest of the scheme's jobs allocated
-//! (`JobResult::storage`). A figure that means nothing on the run is
+//! Each `per_scheme` row reports set-up apart from the loop: `begin_ms`
+//! is the time its jobs spent in `Simulation::begin` (building and
+//! prepopulating the machine), and `refs_per_sec` and `wall_ns_per_walk`
+//! divide by the rest of their wall, the reference loop. Each row also
+//! carries `storage_bytes`: the POM-TLB, TSB and page-table storage the
+//! largest of the scheme's jobs allocated (`JobResult::storage`). A figure that means nothing on the run is
 //! `null`, not `0`: `wall_ns_per_walk` for a scheme that never walks, and
 //! every pool speedup when `--jobs 1` leaves no pool to speak of.
 //!
@@ -140,16 +143,17 @@ fn same_reports(a: &[JobResult], b: &[JobResult]) -> bool {
         && a.iter().zip(b).all(|(x, y)| x.label == y.label && fingerprint(x) == fingerprint(y))
 }
 
-/// Per-scheme aggregation over the serial run: simulated references per
-/// wall-clock second, wall nanoseconds per completed page walk (the
-/// walk-path cost the arena page tables and SoA caches target), and the
-/// largest translation-structure storage any one of the scheme's jobs
-/// allocated.
+/// Per-scheme aggregation over the serial run: time in
+/// `Simulation::begin`, simulated references per second of the reference
+/// loop, loop nanoseconds per completed page walk (the walk-path cost the
+/// arena page tables and SoA caches target), and the largest
+/// translation-structure storage any one of the scheme's jobs allocated.
 #[derive(Default)]
 struct SchemeRow {
     refs: u64,
     page_walks: u64,
-    wall_secs: f64,
+    begin_secs: f64,
+    loop_secs: f64,
     storage: StorageBytes,
 }
 
@@ -160,7 +164,8 @@ fn per_scheme(serial: &[JobResult]) -> BTreeMap<String, SchemeRow> {
         let row = rows.entry(scheme).or_default();
         row.refs += r.report.refs;
         row.page_walks += r.report.page_walks;
-        row.wall_secs += r.wall.as_secs_f64();
+        row.begin_secs += r.begin.as_secs_f64();
+        row.loop_secs += r.wall.saturating_sub(r.begin).as_secs_f64();
         row.storage.pom_tlb = row.storage.pom_tlb.max(r.storage.pom_tlb);
         row.storage.tsb = row.storage.tsb.max(r.storage.tsb);
         row.storage.page_tables = row.storage.page_tables.max(r.storage.page_tables);
@@ -825,10 +830,11 @@ fn main() -> ExitCode {
     for (i, r) in serial.iter().enumerate() {
         let _ = writeln!(
             j,
-            "    {{\"label\": {}, \"refs\": {}, \"wall_ms\": {}, \"refs_per_sec\": {}}}{}",
+            "    {{\"label\": {}, \"refs\": {}, \"wall_ms\": {}, \"begin_ms\": {}, \"refs_per_sec\": {}}}{}",
             jstr(&r.label),
             r.report.refs,
             jnum(r.wall.as_secs_f64() * 1e3),
+            jnum(r.begin.as_secs_f64() * 1e3),
             jnum(r.refs_per_sec()),
             if i + 1 < serial.len() { "," } else { "" }
         );
@@ -837,15 +843,16 @@ fn main() -> ExitCode {
     j.push_str("  \"per_scheme\": {\n");
     let rows = per_scheme(&serial);
     for (i, (scheme, row)) in rows.iter().enumerate() {
-        let rps = if row.wall_secs > 0.0 { row.refs as f64 / row.wall_secs } else { 0.0 };
+        let rps = if row.loop_secs > 0.0 { row.refs as f64 / row.loop_secs } else { 0.0 };
         // A scheme that never walks has no per-walk cost.
         let ns_per_walk =
-            (row.page_walks > 0).then(|| row.wall_secs * 1e9 / row.page_walks as f64);
+            (row.page_walks > 0).then(|| row.loop_secs * 1e9 / row.page_walks as f64);
         let _ = writeln!(
             j,
-            "    {}: {{\"refs_per_sec\": {}, \"page_walks\": {}, \"wall_ns_per_walk\": {}, \
+            "    {}: {{\"begin_ms\": {}, \"refs_per_sec\": {}, \"page_walks\": {}, \"wall_ns_per_walk\": {}, \
              \"storage_bytes\": {{\"pom_tlb\": {}, \"tsb\": {}, \"page_tables\": {}}}}}{}",
             jstr(scheme),
+            jnum(row.begin_secs * 1e3),
             jnum(rps),
             row.page_walks,
             jopt(ns_per_walk),

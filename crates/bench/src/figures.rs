@@ -530,10 +530,7 @@ pub fn vm_switching() -> Figure {
             // in-DRAM structures (as after long execution); what is being
             // measured is what *switching* does to the SRAM levels.
             for (space, tables, _) in vms.iter_mut() {
-                for (page, size) in layout.pages() {
-                    let hpa = tables.ensure_mapped(page, size);
-                    system.prepopulate_translation(*space, page, size, hpa);
-                }
+                system.prepopulate(*space, tables, &layout);
             }
             // Round-robin quantum of 4000 references per VM, 6 quanta per VM.
             let mut penalty_total = 0u64;

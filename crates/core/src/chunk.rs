@@ -156,11 +156,7 @@ impl Simulation {
                 }
                 seen.push(space);
                 let ti = tables.slot(space);
-                for (page, size) in layout.pages() {
-                    let hpa = tables.list[ti].ensure_mapped(page, size);
-                    system.note_mapped(space, page, size, hpa);
-                    system.prepopulate_translation(space, page, size, hpa);
-                }
+                system.prepopulate(space, &mut tables.list[ti], &layout);
             }
         }
 
@@ -315,8 +311,8 @@ impl ChunkSim {
 
     /// Bytes of translation-structure storage this job has allocated in
     /// the simulator's own memory. A [`System`] builds only its scheme's
-    /// in-DRAM structure (the POM-TLB or the TSB, or neither); the page
-    /// tables grow as the stream maps pages.
+    /// in-DRAM structure (the POM-TLB or the TSB, or neither); the
+    /// POM-TLB and the page tables grow as translations land in them.
     pub fn storage_bytes(&self) -> StorageBytes {
         StorageBytes {
             pom_tlb: self.system.pom().map_or(0, PomTlb::storage_bytes),
@@ -330,7 +326,8 @@ impl ChunkSim {
 /// [`ChunkSim::storage_bytes`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageBytes {
-    /// The POM-TLB's two partitions, 16 bytes per entry.
+    /// The POM-TLB's two partitions: 16 bytes per entry of every 4 KiB
+    /// chunk of sets an insert has reached, plus both chunk tables.
     pub pom_tlb: u64,
     /// The TSB, 16 bytes per slot.
     pub tsb: u64,
@@ -550,6 +547,21 @@ mod tests {
         let sim = job.to_simulation().begin();
         let (chunked, flat) = (sim.storage_bytes().page_tables, flat_table_bytes(&sim));
         assert!(chunked * 100 <= flat * 105, "{chunked} B chunked against {flat} B flat");
+    }
+
+    /// A prepopulated paper layout's translations land on a fraction of
+    /// the POM-TLB's sets (Eq. (1) puts consecutive pages on consecutive
+    /// sets): the chunks they reach stay under 30% of the flat 16 MiB.
+    #[test]
+    fn prepopulated_pom_tlb_writes_a_fraction_of_the_flat_array() {
+        let gcc = pomtlb_workloads::by_name("gcc").expect("gcc is a paper workload");
+        let sim_cfg = SimConfig { refs_per_core: 10, warmup_per_core: 0, seed: 31 };
+        let job = SimJob::new("gcc", &gcc.spec, Scheme::pom_tlb(), sim_cfg)
+            .with_system_config(SystemConfig { n_cores: 2, ..Default::default() });
+        let sim = job.to_simulation().begin();
+        let written = sim.storage_bytes().pom_tlb;
+        let flat: u64 = 16 << 20;
+        assert!(written > 0 && written * 10 < flat * 3, "{written} B written against {flat} B flat");
     }
 
     #[test]

@@ -16,6 +16,8 @@
 //! accesses comes from the die-stacked [`pomtlb_dram::Channel`] the system
 //! simulator owns.
 
+use std::ops::Range;
+
 use pomtlb_types::{AddressSpace, Gva, Hpa, PageSize, Ppn, Vpn, VmId};
 use serde::{Deserialize, Serialize};
 
@@ -56,6 +58,14 @@ impl PomTlbStats {
     }
 }
 
+/// Slot words per storage chunk: 4 KiB of 16-byte entries, 64 four-way
+/// sets. A chunk holds whole sets, and the associativity ablation's 1, 2,
+/// 4 and 8 ways all fill one exactly.
+const CHUNK_WORDS: usize = (4 << 10) / PomEntry::BYTES;
+
+/// Chunk-table entry of a chunk no insert has reached.
+const UNWRITTEN: u32 = u32::MAX;
+
 #[derive(Debug, Clone)]
 struct Partition {
     size: PageSize,
@@ -66,11 +76,13 @@ struct Partition {
     set_mask: u64,
     /// Bytes one set occupies in the address space (16 × ways).
     set_bytes: u64,
-    /// `n_sets × ways` packed 16-byte entry words ([`crate::entry`]); zero
-    /// is an empty slot. Allocated zeroed, so the pages of sets no entry
-    /// has reached are never touched.
-    slots: Vec<u128>,
     ways: usize,
+    /// log2 of the sets one chunk holds.
+    chunk_shift: u32,
+    /// Chunk table, in set order: the [`PomTlb`] arena index of each
+    /// chunk's first slot word, or [`UNWRITTEN`] while every slot of the
+    /// chunk is still empty.
+    chunks: Vec<u32>,
 }
 
 /// Eq. (1): the index of the set `va` maps to among the `set_mask + 1`
@@ -95,13 +107,18 @@ pub(crate) fn eq1_set_index(space: AddressSpace, va: Gva, size: PageSize, set_ma
 impl Partition {
     /// `n_sets` comes validated from [`PomTlbConfig::n_sets`].
     fn new(size: PageSize, base: Hpa, n_sets: u64, ways: u32) -> Partition {
+        let ways = ways as usize;
+        // Whole sets per chunk, a power of two, at most the partition's.
+        let chunk_sets = ((CHUNK_WORDS / ways).max(1) as u64).min(n_sets);
+        let chunk_shift = chunk_sets.ilog2();
         Partition {
             size,
             base,
             set_mask: n_sets - 1,
             set_bytes: 16 * ways as u64,
-            slots: vec![0; (n_sets * ways as u64) as usize],
-            ways: ways as usize,
+            ways,
+            chunk_shift,
+            chunks: vec![UNWRITTEN; (n_sets >> chunk_shift) as usize],
         }
     }
 
@@ -119,11 +136,42 @@ impl Partition {
         Hpa::new(self.base.raw() + index * self.set_bytes)
     }
 
-    /// The probe key of `(space, va)` and the slots of the set it maps to.
-    fn probe(&mut self, space: AddressSpace, va: Gva) -> (u128, &mut [u128]) {
-        let key = PomEntry::key(space, Vpn::of(va, self.size).0);
-        let start = (self.set_index(space, va) * self.ways as u64) as usize;
-        (key, &mut self.slots[start..start + self.ways])
+    /// Slot words in one chunk.
+    fn chunk_words(&self) -> usize {
+        self.ways << self.chunk_shift
+    }
+
+    /// The probe key of `(space, va)` and the set it maps to.
+    fn probe(&self, space: AddressSpace, va: Gva) -> (u128, u64) {
+        (PomEntry::key(space, Vpn::of(va, self.size).0), self.set_index(space, va))
+    }
+
+    /// The arena indices of `set`'s slots, or `None` while no insert has
+    /// reached its chunk — a set there is empty.
+    fn slots(&self, set: u64) -> Option<Range<usize>> {
+        let at = self.chunks[(set >> self.chunk_shift) as usize];
+        let start = at as usize + (set & ((1 << self.chunk_shift) - 1)) as usize * self.ways;
+        (at != UNWRITTEN).then_some(start..start + self.ways)
+    }
+
+    /// As [`Partition::slots`], first appending `set`'s chunk, zeroed, to
+    /// `arena` if no insert has reached it yet.
+    fn slots_alloc(&mut self, arena: &mut Vec<u128>, set: u64) -> Range<usize> {
+        let chunk = (set >> self.chunk_shift) as usize;
+        if self.chunks[chunk] == UNWRITTEN {
+            self.chunks[chunk] = arena.len() as u32;
+            arena.resize(arena.len() + self.chunk_words(), 0);
+        }
+        self.slots(set).expect("the chunk was just written")
+    }
+
+    /// The written chunks in set order: each one's first set and the
+    /// arena indices of its slots.
+    fn written(&self) -> impl Iterator<Item = (u64, Range<usize>)> + '_ {
+        let words = self.chunk_words();
+        self.chunks.iter().enumerate().filter(|&(_, &at)| at != UNWRITTEN).map(move |(chunk, &at)| {
+            ((chunk as u64) << self.chunk_shift, at as usize..at as usize + words)
+        })
     }
 }
 
@@ -134,11 +182,22 @@ fn find_way(slots: &[u128], key: u128) -> Option<usize> {
 }
 
 /// The two-partition POM-TLB.
+///
+/// A part-of-memory TLB is touched only where translations land, and so
+/// is its model: each partition's sets live in 4 KiB chunks that the
+/// first insert into one of their sets appends, zeroed, to one shared
+/// arena. The arena is reserved at the flat arrays' exact size and never
+/// zeroed up front, so building a POM-TLB costs its chunk tables alone,
+/// and a run pays for the chunks its translations reach. A probe of a
+/// set whose chunk no insert has reached is a miss and allocates nothing.
 #[derive(Debug, Clone)]
 pub struct PomTlb {
     config: PomTlbConfig,
     small: Partition,
     large: Partition,
+    /// Both partitions' written chunks, in the order they were first
+    /// written; zero is an empty slot ([`crate::entry`]).
+    arena: Vec<u128>,
     stats: PomTlbStats,
 }
 
@@ -149,22 +208,23 @@ impl PomTlb {
     ///
     /// Panics if either partition's geometry is degenerate.
     pub fn new(config: PomTlbConfig) -> PomTlb {
-        PomTlb {
-            config,
-            small: Partition::new(
-                PageSize::Small4K,
-                config.base_small,
-                config.n_sets(PageSize::Small4K),
-                config.ways,
-            ),
-            large: Partition::new(
-                PageSize::Large2M,
-                config.base_large(),
-                config.n_sets(PageSize::Large2M),
-                config.ways,
-            ),
-            stats: PomTlbStats::default(),
-        }
+        let small = Partition::new(
+            PageSize::Small4K,
+            config.base_small,
+            config.n_sets(PageSize::Small4K),
+            config.ways,
+        );
+        let large = Partition::new(
+            PageSize::Large2M,
+            config.base_large(),
+            config.n_sets(PageSize::Large2M),
+            config.ways,
+        );
+        let mut pom = PomTlb { config, small, large, arena: Vec::new(), stats: PomTlbStats::default() };
+        let words = pom.capacity_entries();
+        assert!(words < UNWRITTEN as u64, "{words} POM-TLB entries exceed 32-bit chunk offsets");
+        pom.arena.reserve_exact(words as usize);
+        pom
     }
 
     /// The configuration.
@@ -180,12 +240,23 @@ impl PomTlb {
         }
     }
 
-    fn partition_mut(&mut self, size: PageSize) -> &mut Partition {
-        match size {
+    /// The `size` partition and the arena, borrowed apart.
+    fn partition_mut(&mut self, size: PageSize) -> (&mut Partition, &mut Vec<u128>) {
+        let p = match size {
             PageSize::Small4K => &mut self.small,
             PageSize::Large2M => &mut self.large,
             PageSize::Huge1G => panic!("1 GB pages have no POM-TLB partition"),
-        }
+        };
+        (p, &mut self.arena)
+    }
+
+    /// The probe key of `(space, va)` and the arena indices of the slots
+    /// of the `size` set it maps to, or `None` while that set's chunk is
+    /// unwritten (every slot empty).
+    fn probe(&self, space: AddressSpace, va: Gva, size: PageSize) -> (u128, Option<Range<usize>>) {
+        let p = self.partition(size);
+        let (key, set) = p.probe(space, va);
+        (key, p.slots(set))
     }
 
     /// Eq. (1): the host-physical address of the set `va` maps to in the
@@ -217,11 +288,15 @@ impl PomTlb {
     /// ages on a hit (the burst carries all four entries, so this costs no
     /// extra DRAM access).
     pub fn lookup(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> Option<PomLookup> {
-        let (key, slots) = self.partition_mut(size).probe(space, va);
-        match find_way(slots, key) {
-            Some(w) => {
-                age_update(slots, w);
-                let ppn = PPN.get(slots[w]);
+        let (key, set) = self.probe(space, va, size);
+        let hit = set.and_then(|set| {
+            let slots = &mut self.arena[set];
+            let w = find_way(slots, key)?;
+            age_update(slots, w);
+            Some(PPN.get(slots[w]))
+        });
+        match hit {
+            Some(ppn) => {
                 self.stats.hits += 1;
                 Some(PomLookup { page_base: Ppn(ppn).base(size), size })
             }
@@ -239,7 +314,10 @@ impl PomTlb {
     ///
     /// Panics if the VPN or PPN exceeds its 36-bit field.
     pub fn insert(&mut self, space: AddressSpace, va: Gva, size: PageSize, page_base: Hpa) -> bool {
-        let (key, slots) = self.partition_mut(size).probe(space, va);
+        let (p, arena) = self.partition_mut(size);
+        let (key, set) = p.probe(space, va);
+        let set = p.slots_alloc(arena, set);
+        let slots = &mut arena[set];
         let word = PomEntry::new(space, VPN.get(key), Ppn::of(page_base, size).0).to_word();
         // Refresh in place.
         if let Some(w) = find_way(slots, key) {
@@ -262,7 +340,8 @@ impl PomTlb {
 
     /// Shootdown of one translation. Returns whether it was present.
     pub fn invalidate_page(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> bool {
-        let (key, slots) = self.partition_mut(size).probe(space, va);
+        let (key, set) = self.probe(space, va, size);
+        let Some(slots) = set.map(|set| &mut self.arena[set]) else { return false };
         let Some(w) = find_way(slots, key) else { return false };
         slots[w] = 0;
         self.stats.invalidations += 1;
@@ -283,17 +362,18 @@ impl PomTlb {
         evicted.clear();
         let mask = VALID.mask() | VM.mask();
         let owned = VALID.place(1) | VM.place(vm.as_u64());
-        for p in [&mut self.small, &mut self.large] {
-            let ways = p.ways as u64;
-            for i in 0..p.slots.len() {
-                if p.slots[i] & mask == owned {
-                    p.slots[i] = 0;
-                    // Reconstruct through the same Eq. (1) helper every
-                    // other consumer uses — the shootdown engine scrubs
-                    // data-cache copies of exactly these addresses, so a
-                    // divergent re-derivation here would silently break the
-                    // mostly-inclusive rule.
-                    evicted.push(p.set_addr(i as u64 / ways));
+        for p in [&self.small, &self.large] {
+            for (first_set, chunk) in p.written() {
+                for (i, w) in self.arena[chunk].iter_mut().enumerate() {
+                    if *w & mask == owned {
+                        *w = 0;
+                        // Reconstruct through the same Eq. (1) helper every
+                        // other consumer uses — the shootdown engine scrubs
+                        // data-cache copies of exactly these addresses, so a
+                        // divergent re-derivation here would silently break
+                        // the mostly-inclusive rule.
+                        evicted.push(p.set_addr(first_set + (i / p.ways) as u64));
+                    }
                 }
             }
         }
@@ -302,25 +382,27 @@ impl PomTlb {
 
     /// Valid entries in the given partition.
     pub fn occupancy(&self, size: PageSize) -> u64 {
-        self.partition(size).slots.iter().filter(|&&w| is_live(w)).count() as u64
+        let live = |chunk: Range<usize>| self.arena[chunk].iter().filter(|&&w| is_live(w)).count();
+        self.partition(size).written().map(|(_, chunk)| live(chunk) as u64).sum()
     }
 
     /// Total entry capacity across both partitions.
     pub fn capacity_entries(&self) -> u64 {
-        (self.small.slots.len() + self.large.slots.len()) as u64
+        [&self.small, &self.large].iter().map(|p| p.n_sets() * p.ways as u64).sum()
     }
 
-    /// Bytes of entry storage both partitions allocate: 16 per entry.
+    /// Bytes of entry storage both partitions have allocated: 16 per entry
+    /// of every written chunk, plus both chunk tables.
     pub fn storage_bytes(&self) -> u64 {
-        self.capacity_entries() * PomEntry::BYTES as u64
+        (std::mem::size_of_val(self.arena.as_slice())
+            + std::mem::size_of_val(self.small.chunks.as_slice())
+            + std::mem::size_of_val(self.large.chunks.as_slice())) as u64
     }
 
     /// Non-timing peek used by tests and the bypass-predictor oracle.
     pub fn contains(&self, space: AddressSpace, va: Gva, size: PageSize) -> bool {
-        let p = self.partition(size);
-        let key = PomEntry::key(space, Vpn::of(va, size).0);
-        let start = (p.set_index(space, va) * p.ways as u64) as usize;
-        find_way(&p.slots[start..start + p.ways], key).is_some()
+        let (key, set) = self.probe(space, va, size);
+        set.is_some_and(|set| find_way(&self.arena[set], key).is_some())
     }
 
     /// Fault injection: flips one bit in the PPN field of the `selector`-th
@@ -339,15 +421,16 @@ impl PomTlb {
             return None;
         }
         let mut nth = selector % live;
-        for p in [&mut self.small, &mut self.large] {
-            let size = p.size;
-            for w in p.slots.iter_mut().filter(|w| is_live(**w)) {
-                if nth == 0 {
-                    *w ^= PPN.place(1 << (bit % PPN.width));
-                    let e = PomEntry::from_word(*w).expect("live word decodes");
-                    return Some((e.space, Vpn(e.vpn).base(size), size));
+        for p in [&self.small, &self.large] {
+            for (_, chunk) in p.written() {
+                for w in self.arena[chunk].iter_mut().filter(|w| is_live(**w)) {
+                    if nth == 0 {
+                        *w ^= PPN.place(1 << (bit % PPN.width));
+                        let e = PomEntry::from_word(*w).expect("live word decodes");
+                        return Some((e.space, Vpn(e.vpn).base(p.size), p.size));
+                    }
+                    nth -= 1;
                 }
-                nth -= 1;
             }
         }
         None
@@ -401,14 +484,24 @@ mod tests {
 
     #[test]
     fn default_geometry_matches_paper() {
-        let pom = PomTlb::new(PomTlbConfig::default());
+        let mut pom = PomTlb::new(PomTlbConfig::default());
         // 16 MB / 16 B = 1 M entries.
         assert_eq!(pom.capacity_entries(), 1 << 20);
         // 8 MB per partition / 64 B per set = 128 Ki sets each.
         assert_eq!(pom.small.n_sets(), 128 << 10);
         assert_eq!(pom.large.n_sets(), 128 << 10);
-        // Stored at the paper's 16 bytes per entry: exactly the capacity.
-        assert_eq!(pom.storage_bytes(), 16 << 20);
+        // Stored at the paper's 16 bytes per entry, in 4 KiB chunks of 64
+        // sets that the first insert into them writes: an empty array is
+        // its two 2,048-entry chunk tables, and the flat 16 MiB is the
+        // arena's reserve.
+        let tables = 2 * 2048 * 4;
+        assert_eq!(pom.storage_bytes(), tables);
+        assert_eq!(pom.arena.capacity(), 1 << 20);
+        pom.insert(space(0), Gva::new(0x1000), PageSize::Small4K, Hpa::new(0x1000));
+        pom.insert(space(0), Gva::new(0x2000), PageSize::Small4K, Hpa::new(0x2000));
+        assert_eq!(pom.storage_bytes(), tables + 4096, "neighbouring sets share a chunk");
+        pom.insert(space(0), Gva::new(64 << 12), PageSize::Small4K, Hpa::new(0x3000));
+        assert_eq!(pom.storage_bytes(), tables + 2 * 4096, "set 64 starts the next chunk");
     }
 
     #[test]
@@ -614,8 +707,10 @@ mod tests {
         tiny().insert(space(0), Gva::new(0x1000), PageSize::Small4K, Hpa::new(1 << 48));
     }
 
-    /// The unpacked `Option<PomEntry>` POM-TLB the packed partitions
-    /// replaced, kept as an independent model of their behaviour.
+    /// The flat, unpacked `Option<PomEntry>` POM-TLB the packed, chunked
+    /// partitions replaced, kept as an independent model of their
+    /// behaviour. It also notes which 64-set chunks an insert reached,
+    /// which fixes the chunked storage.
     mod reference {
         use super::super::PomLookup;
         use crate::entry::PomEntry;
@@ -628,6 +723,7 @@ mod tests {
             n_sets: u64,
             ways: usize,
             slots: Vec<Option<PomEntry>>,
+            written: Vec<bool>,
         }
 
         impl RefPartition {
@@ -636,6 +732,14 @@ mod tests {
                 let salt = space.vm.as_u64().wrapping_mul(0x9e37_79b9_7f4a_7c15)
                     ^ space.process.as_u64().wrapping_mul(0xc2b2_ae3d_27d4_eb4f);
                 (vpn ^ (salt >> 32)) % self.n_sets
+            }
+
+            pub fn chunk_of(&self, space: AddressSpace, va: Gva) -> usize {
+                (self.set_index(space, va) / 64) as usize
+            }
+
+            pub fn written(&self) -> &[bool] {
+                &self.written
             }
 
             fn set(&mut self, space: AddressSpace, va: Gva) -> &mut [Option<PomEntry>] {
@@ -671,6 +775,7 @@ mod tests {
                     n_sets: bytes / (16 * ways as u64),
                     ways,
                     slots: vec![None; (bytes / 16) as usize],
+                    written: vec![false; (bytes / (16 * ways as u64) / 64) as usize],
                 };
                 RefPomTlb {
                     small: part(PageSize::Small4K, small),
@@ -684,6 +789,15 @@ mod tests {
                     PageSize::Small4K => &mut self.small,
                     _ => &mut self.large,
                 }
+            }
+
+            /// 4 KiB per written 64-set chunk of four-way sets, plus four
+            /// bytes per chunk-table entry.
+            pub fn chunked_bytes(&self) -> u64 {
+                [&self.small, &self.large]
+                    .iter()
+                    .map(|p| 4 * p.written.len() as u64 + 4096 * p.written.iter().filter(|&&w| w).count() as u64)
+                    .sum()
             }
 
             pub fn lookup(&mut self, space: AddressSpace, va: Gva, size: PageSize) -> Option<PomLookup> {
@@ -706,6 +820,8 @@ mod tests {
             pub fn insert(&mut self, space: AddressSpace, va: Gva, size: PageSize, base: Hpa) -> bool {
                 let vpn = Vpn::of(va, size).0;
                 let ppn = Ppn::of(base, size).0;
+                let chunk = self.part(size).chunk_of(space, va);
+                self.part(size).written[chunk] = true;
                 let slots = self.part(size).set(space, va);
                 let ways = slots.len();
                 if let Some(w) = (0..ways).find(|&w| slots[w].is_some_and(|e| e.matches(space, vpn))) {
@@ -784,11 +900,18 @@ mod tests {
     }
 
     /// Replays a seeded script of every mutating and probing operation
-    /// against the packed POM-TLB and the unpacked reference model,
-    /// asserting identical results, statistics and occupancy.
+    /// against the packed, chunked POM-TLB and the flat, unpacked
+    /// reference model, asserting identical results, statistics,
+    /// occupancy and storage. Each address space inserts into two of the
+    /// 4 KiB chunks, so about half stay unwritten; one probe in four draws
+    /// from the whole address space,
+    /// so lookups, invalidations and `contains` land on sets no insert
+    /// reached, and `flush_vm` and `corrupt_entry` walk past unwritten
+    /// chunks between written ones.
     #[test]
     fn packed_matches_unpacked_reference() {
-        let config = PomTlbConfig { capacity_bytes: 8 << 10, ..Default::default() };
+        // 64 chunks of 64 four-way sets per partition.
+        let config = PomTlbConfig { capacity_bytes: 512 << 10, ..Default::default() };
         let mut pom = PomTlb::new(config);
         let mut model = reference::RefPomTlb::new(
             (config.base_small, config.small_bytes()),
@@ -808,6 +931,9 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             x >> 17
         };
+        // Lookups, invalidations and `contains` calls on unwritten chunks.
+        let mut cold_probes = [0u32; 3];
+        let (mut cold_flushes, mut corrupts) = (0u32, 0u32);
         for step in 0..40_000u32 {
             let op = next() % 16;
             let r = next();
@@ -816,12 +942,15 @@ mod tests {
                 ProcessId(pids[((r >> 3) % 4) as usize]),
             );
             let size = PageSize::POM_SIZES[((r >> 5) & 1) as usize];
-            // A small VPN range keeps sets full; one draw in 16 lands at
-            // the top of the 48-bit virtual address space.
+            // Eight VPNs per set of one chunk keep that chunk's sets full;
+            // one draw in 16 lands at the top of the 48-bit virtual address
+            // space, and one probe in four anywhere below it.
             let vpn = if (r >> 6).is_multiple_of(16) {
                 (1u64 << (48 - size.shift())) - 1 - (r >> 10) % 4
+            } else if op >= 6 && (r >> 30).is_multiple_of(4) {
+                (r >> 10) % (1u64 << (48 - size.shift()))
             } else {
-                (r >> 10) % 512
+                (r >> 10) % 8 * pom.n_sets(size) + (r >> 13) % 64
             };
             let va = Gva::new((vpn << size.shift()) | ((r >> 20) & 0xfff));
             let base = if (r >> 30).is_multiple_of(8) {
@@ -829,6 +958,7 @@ mod tests {
             } else {
                 Hpa::new(((r >> 33) % 4096) << size.shift())
             };
+            let cold = pom.probe(space, va, size).1.is_none();
             match op {
                 0..=5 => assert_eq!(
                     pom.insert(space, va, size, base),
@@ -854,26 +984,49 @@ mod tests {
                     let mut evicted = Vec::new();
                     pom.flush_vm(space.vm, &mut evicted);
                     assert_eq!(evicted, model.flush_vm(space.vm), "flush diverged at step {step}");
+                    cold_flushes += u32::from(model.small.written().contains(&false));
                 }
-                15 => assert_eq!(
-                    pom.corrupt_entry(r, (r >> 7) as u32),
-                    model.corrupt_entry(r, (r >> 7) as u32),
-                    "corrupt diverged at step {step}"
-                ),
+                15 if r.is_multiple_of(8) => {
+                    assert_eq!(
+                        pom.corrupt_entry(r, (r >> 7) as u32),
+                        model.corrupt_entry(r, (r >> 7) as u32),
+                        "corrupt diverged at step {step}"
+                    );
+                    corrupts += 1;
+                }
                 _ => {}
+            }
+            if cold && (6..=13).contains(&op) {
+                cold_probes[match op {
+                    12 => 1,
+                    13 => 2,
+                    _ => 0,
+                }] += 1;
             }
             if step.is_multiple_of(1000) {
                 for size in PageSize::POM_SIZES {
                     assert_eq!(pom.occupancy(size), model.occupancy(size), "occupancy at step {step}");
                 }
+                assert_eq!(pom.storage_bytes(), model.chunked_bytes(), "storage at step {step}");
             }
         }
         assert_eq!(*pom.stats(), model.stats);
         for size in PageSize::POM_SIZES {
             assert_eq!(pom.occupancy(size), model.occupancy(size));
         }
+        assert_eq!(pom.storage_bytes(), model.chunked_bytes());
         let s = pom.stats();
         assert!(s.hits > 0 && s.misses > 0 && s.evictions > 0 && s.invalidations > 0, "{s:?}");
+        // Written and unwritten chunks interleave in both partitions, and
+        // every kind of probe and walk met unwritten ones.
+        for p in [&model.small, &model.large] {
+            let runs = p.written().windows(2).filter(|w| w[0] != w[1]).count();
+            assert!(runs >= 8, "{runs} written/unwritten boundaries");
+            let unwritten = p.written().iter().filter(|&&w| !w).count();
+            assert!((8..56).contains(&unwritten), "{unwritten} of 64 chunks unwritten");
+        }
+        assert!(cold_probes.iter().all(|&n| n > 100), "{cold_probes:?}");
+        assert!(cold_flushes > 100 && corrupts > 100, "{cold_flushes} flushes, {corrupts} corruptions");
     }
 
     proptest! {

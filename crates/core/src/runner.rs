@@ -175,13 +175,15 @@ impl SimJob {
     }
 
     /// [`SimJob::run`], also returning the storage the run allocated.
-    fn run_measured(&self) -> (SimReport, StorageBytes) {
+    fn run_measured(&self) -> (SimReport, StorageBytes, Duration) {
         if let Some(sabotage) = &self.sabotage {
             sabotage.trip();
         }
+        let start = Instant::now();
         let mut sim = self.to_simulation().begin();
+        let begin = start.elapsed();
         sim.advance(u64::MAX);
-        (sim.finish(), sim.storage_bytes())
+        (sim.finish(), sim.storage_bytes(), begin)
     }
 
     /// Builds the [`Simulation`] this job describes, without running it,
@@ -318,14 +320,18 @@ pub struct JobResult {
     pub report: SimReport,
     /// Wall time this job took on its worker.
     pub wall: Duration,
+    /// The part of `wall` its last attempt spent in `Simulation::begin`:
+    /// building the machine and prepopulating it.
+    pub begin: Duration,
     /// Translation-structure storage the job allocated.
     pub storage: StorageBytes,
 }
 
 impl JobResult {
-    /// Simulated post-warmup references per wall-clock second.
+    /// Simulated post-warmup references per wall-clock second of the
+    /// reference loop: `wall` less `begin`.
     pub fn refs_per_sec(&self) -> f64 {
-        let secs = self.wall.as_secs_f64();
+        let secs = self.wall.saturating_sub(self.begin).as_secs_f64();
         if secs <= 0.0 {
             0.0
         } else {
@@ -498,8 +504,8 @@ fn run_one(job: &SimJob, policy: &RunPolicy, deadline_at: Option<Instant>) -> Jo
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| job.run_measured()));
         let wall = start.elapsed();
         match caught {
-            Ok((report, storage)) => {
-                let result = JobResult { label: job.label.clone(), report, wall, storage };
+            Ok((report, storage, begin)) => {
+                let result = JobResult { label: job.label.clone(), report, wall, begin, storage };
                 if let Some(limit) = policy.soft_timeout {
                     if wall > limit {
                         return JobOutcome::TimedOut { result, limit };
@@ -710,16 +716,23 @@ mod tests {
 
     #[test]
     fn each_scheme_stores_only_its_own_structure() {
-        // 1 Mi POM-TLB entries or 1 Mi TSB slots at 16 bytes each; the
-        // Baseline and Shared_L2 machines have no in-DRAM structure.
+        // A TSB is 1 Mi slots at 16 bytes each. A POM-TLB stores its
+        // 16-byte entries only in the 4 KiB chunks its inserts reached,
+        // beside its 16 KiB of chunk tables. The Baseline and Shared_L2
+        // machines have no in-DRAM structure.
+        const POM_TABLES: u64 = 16 << 10;
         for r in run_jobs(batch(), 1) {
-            let (pom_tlb, tsb) = match r.report.scheme {
-                Scheme::PomTlb { .. } => (16 << 20, 0),
-                Scheme::Tsb => (0, 16 << 20),
-                Scheme::Baseline | Scheme::SharedL2 => (0, 0),
-            };
-            assert_eq!(r.storage.pom_tlb, pom_tlb, "{}", r.label);
-            assert_eq!(r.storage.tsb, tsb, "{}", r.label);
+            let (pom_tlb, tsb) = (r.storage.pom_tlb, r.storage.tsb);
+            match r.report.scheme {
+                Scheme::PomTlb { .. } => {
+                    let chunks = pom_tlb.saturating_sub(POM_TABLES) / 4096;
+                    assert_eq!(pom_tlb, POM_TABLES + chunks * 4096, "{}", r.label);
+                    assert!((1..4096).contains(&chunks), "{}: {chunks} chunks", r.label);
+                    assert_eq!(tsb, 0, "{}", r.label);
+                }
+                Scheme::Tsb => assert_eq!((pom_tlb, tsb), (0, 16 << 20), "{}", r.label),
+                Scheme::Baseline | Scheme::SharedL2 => assert_eq!((pom_tlb, tsb), (0, 0), "{}", r.label),
+            }
             assert!(r.storage.page_tables > 0, "{}", r.label);
         }
     }

@@ -21,7 +21,9 @@ use pomtlb_dram::Channel;
 use pomtlb_tlb::{NestedWalker, SramTlb, Tsb, VirtTables};
 use std::sync::Arc;
 
-use pomtlb_trace::{OsEvent, OsEventKind, SharedTrace, WorkloadSpec, PROMOTE_WINDOW_PAGES};
+use pomtlb_trace::{
+    AddressLayout, OsEvent, OsEventKind, SharedTrace, WorkloadSpec, PROMOTE_WINDOW_PAGES,
+};
 use pomtlb_types::{AccessKind, AddressSpace, CoreId, Cycles, Gva, Hpa, PageSize, VmId};
 
 use crate::config::{SimConfig, SystemConfig};
@@ -322,6 +324,19 @@ impl System {
                 let predictor = &mut self.predictors[c];
                 miss.pom(pom, predictor, self.fault.as_mut(), cache_entries, bypass_predictor)
             }
+        }
+    }
+
+    /// Maps every page of `layout` into `space`'s `tables`, one run per
+    /// region, and records and installs each page's translation as that
+    /// page is mapped, in layout order ([`System::note_mapped`],
+    /// [`System::prepopulate_translation`]).
+    pub fn prepopulate(&mut self, space: AddressSpace, tables: &mut VirtTables, layout: &AddressLayout) {
+        for (first, size, count) in layout.runs() {
+            tables.map_run(first, size, count, |page, hpa| {
+                self.note_mapped(space, page, size, hpa);
+                self.prepopulate_translation(space, page, size, hpa);
+            });
         }
     }
 

@@ -295,30 +295,46 @@ impl RadixPageTable {
     /// 4 KB and 2 MB pages inside one 2 MB-aligned window (the layouts
     /// this simulator generates keep the sizes in disjoint regions).
     pub fn map(&mut self, va: u64, size: PageSize, target_base: u64) {
-        assert!(size != PageSize::Huge1G, "1 GB pages are not modeled");
+        let node = self.leaf_node(va, size);
+        self.set_leaf(node, va, size, target_base);
+    }
+
+    /// The arena index of the node that holds `va`'s `size` leaf slot —
+    /// the PT node for a 4 KB page, the PD node for a 2 MB page —
+    /// creating missing interior nodes. A 4 KB path enters the path cache.
+    fn leaf_node(&mut self, va: u64, size: PageSize) -> usize {
+        match size {
+            PageSize::Small4K => {
+                if let Some(path) = self.paths.get(va) {
+                    return path[2] as usize;
+                }
+                let path = self.descend_creating(va, size, 3);
+                self.paths.insert(va, path);
+                path[2] as usize
+            }
+            PageSize::Large2M => self.descend_creating(va, size, 2)[1] as usize,
+            PageSize::Huge1G => panic!("1 GB pages are not modeled"),
+        }
+    }
+
+    /// The target of `va`'s leaf in `node` (the node [`Self::leaf_node`]
+    /// returns for it), if one is installed.
+    fn leaf_in(&self, node: usize, va: u64, size: PageSize) -> Option<u64> {
+        let slot = self.slot(node, index(va, leaf_level(size)));
+        (slot & LEAF_BIT != 0).then(|| leaf_target(slot))
+    }
+
+    /// Writes the leaf `va → target_base` into `node`, the node
+    /// [`Self::leaf_node`] returns for `va`.
+    fn set_leaf(&mut self, node: usize, va: u64, size: PageSize, target_base: u64) {
         assert_eq!(va & (size.bytes() - 1), 0, "va {va:#x} not {size}-aligned");
         assert_eq!(target_base & (size.bytes() - 1), 0, "target {target_base:#x} not {size}-aligned");
         assert!(
             target_base >> FRAME_SHIFT < LEAF_BIT as u64,
             "target {target_base:#x} exceeds the 31-bit leaf frame field"
         );
-        let (node, leaf_level) = match size {
-            PageSize::Small4K => {
-                let path = match self.paths.get(va) {
-                    Some(path) => path,
-                    None => {
-                        let path = self.descend_creating(va, size, 3);
-                        self.paths.insert(va, path);
-                        path
-                    }
-                };
-                (path[2], 3) // leaf slot in the L1 (PT) node
-            }
-            PageSize::Large2M => (self.descend_creating(va, size, 2)[1], 2), // in the PD node
-            PageSize::Huge1G => unreachable!(),
-        };
-        let idx = index(va, leaf_level);
-        let old = self.slot(node as usize, idx);
+        let idx = index(va, leaf_level(size));
+        let old = self.slot(node, idx);
         assert!(
             old == 0 || old & LEAF_BIT != 0,
             "2 MB mapping at {va:#x} would overwrite an interior node of 4 KB mappings"
@@ -326,11 +342,10 @@ impl RadixPageTable {
         if old == 0 {
             match size {
                 PageSize::Small4K => self.n_small += 1,
-                PageSize::Large2M => self.n_large += 1,
-                PageSize::Huge1G => unreachable!(),
+                _ => self.n_large += 1,
             }
         }
-        self.set_slot(node as usize, idx, (target_base >> FRAME_SHIFT) as u32 | LEAF_BIT);
+        self.set_slot(node, idx, (target_base >> FRAME_SHIFT) as u32 | LEAF_BIT);
     }
 
     /// Descends from the root through `leaf_level` interior levels,
@@ -513,12 +528,12 @@ impl RadixPageTable {
 
 /// A direct-mapped cache from a 2 MiB prefix to the arena indices of the
 /// PDP, PD and PT nodes on its path, private to one [`RadixPageTable`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct PathCache {
     entries: [PathEntry; PATH_CACHE_ENTRIES],
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct PathEntry {
     /// The 2 MiB prefix; `u32::MAX` (above [`PREFIX_MASK`]) when empty.
     prefix: u32,
@@ -578,6 +593,17 @@ impl TableSnapshot {
 #[inline]
 fn index(va: u64, level: usize) -> usize {
     ((va >> LEVEL_SHIFTS[level]) & IDX_MASK) as usize
+}
+
+/// The radix level whose nodes hold `size` leaves: 3 (PT) for 4 KB pages,
+/// 2 (PD) for 2 MB pages.
+#[inline]
+fn leaf_level(size: PageSize) -> usize {
+    if size == PageSize::Small4K {
+        3
+    } else {
+        2
+    }
 }
 
 /// The 2 MiB prefix a path-cache entry is tagged with.
@@ -664,7 +690,9 @@ impl VirtTables {
             host_data: FrameAlloc::new(data_base, data_stride),
         };
         // The guest table's root page itself needs host backing.
-        tables.back_guest_nodes(0);
+        if let Some(guest) = &tables.guest {
+            back_guest_nodes(guest, 0, &mut tables.host, &mut tables.host_data);
+        }
         tables
     }
 
@@ -681,7 +709,6 @@ impl VirtTables {
     ///
     /// Panics if `gva` is already mapped with a *different* size.
     pub fn ensure_mapped(&mut self, gva: Gva, size: PageSize) -> Hpa {
-        let va = gva.page_base(size).raw();
         if let Some((base, existing_size)) = self.lookup_page(gva) {
             assert_eq!(
                 existing_size, size,
@@ -689,33 +716,91 @@ impl VirtTables {
             );
             return base;
         }
-        match self.mode {
-            WalkMode::Native => {
-                let hpa = self.host_data.alloc(size.bytes());
-                self.host.map(va, size, hpa);
-                Hpa::new(hpa)
-            }
-            WalkMode::Virtualized => {
-                let gpa = self.guest_data.alloc(size.bytes());
-                let guest = self.guest.as_mut().expect("virtualized mode has a guest table");
-                let first_new = guest.node_phys.len();
-                guest.map(va, size, gpa);
-                let hpa = self.host_data.alloc(size.bytes());
-                self.host.map(gpa, size, hpa);
-                self.back_guest_nodes(first_new);
-                Hpa::new(hpa)
-            }
-        }
+        let mut hpa = Hpa::new(0);
+        self.map_run(gva.page_base(size), size, 1, |_, mapped| hpa = mapped);
+        hpa
     }
 
-    /// Backs the guest table's node pages from arena index `first` on with
-    /// host frames, in creation order — the hypervisor must back them like
-    /// any other guest page.
-    fn back_guest_nodes(&mut self, first: usize) {
-        let Some(guest) = &self.guest else { return };
-        for &node_gpa in &guest.node_phys[first..] {
-            let hpa = self.host_data.alloc(NODE_BYTES);
-            self.host.map(node_gpa, PageSize::Small4K, hpa);
+    /// Maps the `count` consecutive `size` pages from `first` (which must
+    /// be `size`-aligned) exactly as [`Self::ensure_mapped`] would one page
+    /// at a time, and calls `mapped(page, hpa)` for each page, in order,
+    /// as soon as it is mapped. A page that is already mapped keeps its
+    /// frame.
+    ///
+    /// The run resolves each leaf node's path once — in the guest table
+    /// and, for the guest frames it allocates, in the host table — and
+    /// fills that node's leaf slots in a loop, where page-by-page mapping
+    /// pays a failed lookup and two path-cache probes per page. Data
+    /// frames, table nodes and the host frames backing new guest nodes
+    /// come from the allocators in page-by-page order, so every address is
+    /// the same.
+    ///
+    /// # Panics
+    ///
+    /// Panics on 1 GB pages, on a misaligned `first`, and where the run
+    /// would mix 4 KB and 2 MB pages inside one 2 MB window.
+    pub fn map_run(&mut self, first: Gva, size: PageSize, count: u64, mut mapped: impl FnMut(Gva, Hpa)) {
+        assert_eq!(first.raw() & (size.bytes() - 1), 0, "run start {first} not {size}-aligned");
+        let VirtTables { mode, guest, host, guest_data, host_data } = self;
+        let (shift, level) = (size.shift(), leaf_level(size));
+        // Addresses that agree above these bits share a leaf node.
+        let node_shift = shift + 9;
+        let mut done = 0;
+        while done < count {
+            let va = first.raw() + (done << shift);
+            let n = (count - done).min((NODE_SLOTS - index(va, level)) as u64);
+            let pages = (0..n).map(|k| va + (k << shift));
+            match mode {
+                WalkMode::Native => {
+                    let node = host.leaf_node(va, size);
+                    for page in pages {
+                        let hpa = host.leaf_in(node, page, size).unwrap_or_else(|| {
+                            let hpa = host_data.alloc(size.bytes());
+                            host.set_leaf(node, page, size, hpa);
+                            hpa
+                        });
+                        mapped(Gva::new(page), Hpa::new(hpa));
+                    }
+                }
+                WalkMode::Virtualized => {
+                    let guest = guest.as_mut().expect("virtualized mode has a guest table");
+                    let first_new = guest.node_phys.len();
+                    let node = guest.leaf_node(va, size);
+                    // New guest nodes get their host frames right after the
+                    // first page's own, where page-by-page mapping puts them.
+                    let mut unbacked = guest.node_phys.len() > first_new;
+                    // The host leaf node of the last guest frame mapped.
+                    let mut host_leaf: Option<(u64, usize)> = None;
+                    for page in pages {
+                        let hpa = match guest.leaf_in(node, page, size) {
+                            Some(gpa) => host.translate(gpa).expect("every guest frame is host-backed"),
+                            None => {
+                                let gpa = guest_data.alloc(size.bytes());
+                                guest.set_leaf(node, page, size, gpa);
+                                let hpa = host_data.alloc(size.bytes());
+                                let host_node = match host_leaf {
+                                    Some((prefix, hn)) if prefix == gpa >> node_shift => hn,
+                                    _ => host.leaf_node(gpa, size),
+                                };
+                                host.set_leaf(host_node, gpa, size, hpa);
+                                host_leaf = Some((gpa >> node_shift, host_node));
+                                if unbacked {
+                                    back_guest_nodes(guest, first_new, host, host_data);
+                                    unbacked = false;
+                                    // Backing may have evicted the data
+                                    // path from the host path cache; the
+                                    // next page looks it up again, as
+                                    // page-by-page mapping would.
+                                    host_leaf = None;
+                                }
+                                hpa
+                            }
+                        };
+                        mapped(Gva::new(page), Hpa::new(hpa));
+                    }
+                }
+            }
+            done += n;
         }
     }
 
@@ -835,6 +920,16 @@ impl VirtTables {
         self.host.restore(&snap.host);
         self.guest_data = snap.guest_data.clone();
         self.host_data = snap.host_data.clone();
+    }
+}
+
+/// Backs `guest`'s node pages from arena index `first` on with host
+/// frames, in creation order — the hypervisor must back them like any
+/// other guest page.
+fn back_guest_nodes(guest: &RadixPageTable, first: usize, host: &mut RadixPageTable, host_data: &mut FrameAlloc) {
+    for &node_gpa in &guest.node_phys[first..] {
+        let hpa = host_data.alloc(NODE_BYTES);
+        host.map(node_gpa, PageSize::Small4K, hpa);
     }
 }
 
@@ -1398,6 +1493,138 @@ mod tests {
         assert_eq!(t.storage_bytes(), model.chunked_bytes());
         let flat = model.node_phys.len() as u64 * (NODE_SLOTS as u64 * 4 + 8);
         assert!(t.storage_bytes() < flat, "{} chunked bytes against {flat} flat", t.storage_bytes());
+    }
+
+    /// `ensure_mapped` as it was before runs: a lookup, then a guest and a
+    /// host `map` per page, then host frames for the guest nodes that the
+    /// guest `map` created.
+    fn map_page_by_page(vt: &mut VirtTables, gva: Gva, size: PageSize) -> Hpa {
+        if let Some((base, existing)) = vt.lookup_page(gva) {
+            assert_eq!(existing, size);
+            return base;
+        }
+        let va = gva.page_base(size).raw();
+        let hpa = match vt.guest.as_mut() {
+            None => {
+                let hpa = vt.host_data.alloc(size.bytes());
+                vt.host.map(va, size, hpa);
+                hpa
+            }
+            Some(guest) => {
+                let gpa = vt.guest_data.alloc(size.bytes());
+                let first_new = guest.node_phys.len();
+                guest.map(va, size, gpa);
+                let hpa = vt.host_data.alloc(size.bytes());
+                vt.host.map(gpa, size, hpa);
+                back_guest_nodes(guest, first_new, &mut vt.host, &mut vt.host_data);
+                hpa
+            }
+        };
+        Hpa::new(hpa)
+    }
+
+    /// Everything two tables built by different mapping paths must agree
+    /// on besides their translations: node and slot storage, mapping
+    /// counts and both data allocators, and with `caches` the path caches.
+    fn assert_same_state(run: &VirtTables, model: &VirtTables, caches: bool, step: u32) {
+        assert_eq!(run.node_bytes(), model.node_bytes(), "node bytes at step {step}");
+        assert_eq!(run.storage_bytes(), model.storage_bytes(), "storage at step {step}");
+        assert_eq!(run.host.mapping_count(), model.host.mapping_count(), "host mappings at step {step}");
+        let guest_counts = |vt: &VirtTables| vt.guest.as_ref().map(RadixPageTable::mapping_count);
+        assert_eq!(guest_counts(run), guest_counts(model), "guest mappings at step {step}");
+        assert_eq!(run.guest_data.used(), model.guest_data.used(), "guest frames at step {step}");
+        assert_eq!(run.host_data.used(), model.host_data.used(), "host frames at step {step}");
+        if caches {
+            assert!(run.host.paths == model.host.paths, "host path cache at step {step}");
+            let guest_paths = |vt: &VirtTables| vt.guest.as_ref().map(|g| g.paths.clone());
+            assert!(guest_paths(run) == guest_paths(model), "guest path cache at step {step}");
+        }
+    }
+
+    /// Seeded runs through `map_run`, interleaved with single-page
+    /// `ensure_mapped` calls, against the same pages mapped one at a time
+    /// the way `ensure_mapped` did before runs. Runs start mid-node, cross
+    /// leaf-node, PD and PDP boundaries in both page sizes, and overlap
+    /// pages mapped earlier; every page must get the same frame, guest
+    /// walk and host walk, and the tables the same state. A run of fresh
+    /// pages — what prepopulation maps — also leaves the path caches as
+    /// page-by-page mapping does; a run over pages mapped earlier may
+    /// leave their path cached where a lookup would not have, which no
+    /// translation can see.
+    #[test]
+    fn map_run_matches_page_by_page_mapping() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x >> 17
+        };
+        // The guest's first data frame and first node share a host
+        // path-cache slot under different 2 MiB prefixes, so backing the
+        // nodes a fresh run's first page creates evicts the host path of
+        // that page's frame: the first run below starts there.
+        assert_eq!(prefix_of(GPA_DATA_BASE) as usize % PATH_CACHE_ENTRIES, prefix_of(GPA_NODE_BASE) as usize % PATH_CACHE_ENTRIES);
+        assert_ne!(prefix_of(GPA_DATA_BASE), prefix_of(GPA_NODE_BASE));
+        for mode in [WalkMode::Native, WalkMode::Virtualized] {
+            let mut run = VirtTables::with_region(mode, 3);
+            let mut model = VirtTables::with_region(mode, 3);
+            // Leaf-node, PD and PDP boundaries crossed, by address bit.
+            let mut crossed = [false; 3];
+            let (mut pages_mapped, mut fresh_runs) = (0u64, 0u32);
+            for step in 0..80u32 {
+                let r = next();
+                let size = PageSize::POM_SIZES[(r & 1) as usize];
+                // 4 KB and 2 MB pages in disjoint regions, as in the layouts.
+                let region = if size == PageSize::Small4K { 0x1000_0000_0000u64 } else { 0x2000_0000_0000 };
+                // Approach a 2 MiB, 1 GiB or 512 GiB boundary from below, or
+                // start anywhere in the first few leaf nodes.
+                let bit = [21u32, 30, 39, 0][((r >> 1) % 4) as usize].max(size.shift() + 9);
+                let boundary = region + ((1 + (r >> 3) % 6) << bit);
+                // Up to ~2 PT nodes of 4 KB pages; 2 MB runs stay short
+                // so the host frames of region 3 (4 GiB) last.
+                let span = if size == PageSize::Small4K { 1200 } else { 16 };
+                let back = ((r >> 6) % (span / 2 + 100)).min((boundary - region) >> size.shift());
+                let first = if step == 0 { region } else { boundary - (back << size.shift()) };
+                let count = 1 + (r >> 16) % span;
+                if (r >> 27).is_multiple_of(3) {
+                    // A few single pages first, some inside the coming run.
+                    for _ in 0..1 + (r >> 29) % 4 {
+                        let page = Gva::new(first + ((next() % (count + 64)) << size.shift()));
+                        assert_eq!(run.ensure_mapped(page, size), map_page_by_page(&mut model, page, size));
+                    }
+                }
+                let mut got = Vec::new();
+                run.map_run(Gva::new(first), size, count, |page, hpa| got.push((page, hpa)));
+                assert_eq!(got.len() as u64, count, "one call per page at step {step}");
+                let mut fresh = true;
+                for (k, &(page, hpa)) in got.iter().enumerate() {
+                    assert_eq!(page.raw(), first + ((k as u64) << size.shift()), "page order at step {step}");
+                    fresh &= model.lookup_page(page).is_none();
+                    assert_eq!(hpa, map_page_by_page(&mut model, page, size), "frame of {page} at step {step}");
+                }
+                fresh_runs += u32::from(fresh);
+                for &(page, _) in &got {
+                    assert_eq!(run.guest_walk(page), model.guest_walk(page), "guest walk of {page} at step {step}");
+                    let (gpa, _) = model.guest_translate_page(page).expect("mapped");
+                    assert_eq!(run.host_walk(gpa), model.host_walk(gpa), "host walk of {page} at step {step}");
+                }
+                assert_same_state(&run, &model, fresh, step);
+                if !fresh {
+                    // Compare later fresh runs from equal caches.
+                    run.host.paths = model.host.paths.clone();
+                    if let (Some(g), Some(m)) = (run.guest.as_mut(), model.guest.as_ref()) {
+                        g.paths = m.paths.clone();
+                    }
+                }
+                let last = first + ((count - 1) << size.shift());
+                for (crossed, bit) in crossed.iter_mut().zip([size.shift() + 9, 30, 39]) {
+                    *crossed |= first >> bit != last >> bit;
+                }
+                pages_mapped += count;
+            }
+            assert_eq!(crossed, [true; 3], "{mode:?} runs crossed every node boundary");
+            assert!(pages_mapped > 20_000, "{pages_mapped} pages");
+            assert!((20..70).contains(&fresh_runs), "{fresh_runs} of 80 runs mapped only fresh pages");
+        }
     }
 
     #[test]

@@ -63,13 +63,19 @@ impl AddressLayout {
     /// Iterates over every page base in the layout with its size, small
     /// region first.
     pub fn pages(&self) -> impl Iterator<Item = (Gva, PageSize)> + '_ {
-        let small = (0..self.small_pages).map(move |i| {
-            (self.small_base.wrapping_add(i << PageSize::Small4K.shift()), PageSize::Small4K)
-        });
-        let large = (0..self.large_pages).map(move |i| {
-            (self.large_base.wrapping_add(i << PageSize::Large2M.shift()), PageSize::Large2M)
-        });
-        small.chain(large)
+        self.runs().into_iter().flat_map(|(base, size, count)| {
+            (0..count).map(move |i| (base.wrapping_add(i << size.shift()), size))
+        })
+    }
+
+    /// Each region as one run of consecutive pages — its first page, page
+    /// size and page count — small region first, so the runs list the
+    /// pages [`Self::pages`] yields, in its order.
+    pub fn runs(&self) -> [(Gva, PageSize, u64); 2] {
+        [
+            (self.small_base, PageSize::Small4K, self.small_pages),
+            (self.large_base, PageSize::Large2M, self.large_pages),
+        ]
     }
 
     /// Total number of pages across both regions.
