@@ -219,7 +219,8 @@ pub struct ShareOutcome {
     pub store_hits: usize,
     /// Distinct streams the store lacked (absent or unusable on disk).
     pub store_misses: usize,
-    /// Total byte footprint of store-replayed recordings (mapped or read).
+    /// Total byte footprint of store-replayed recordings, read from their
+    /// files.
     pub bytes_mapped: u64,
 }
 

@@ -32,10 +32,7 @@ mod tsb;
 mod walker;
 
 pub use config::{MmuConfig, TlbConfig};
-pub use page_table::{
-    FrameAlloc, PathLevels, RadixPageTable, TableSnapshot, TablesSnapshot, VirtTables, WalkMode,
-    WalkPath, MAX_REGIONS,
-};
+pub use page_table::{FrameAlloc, PathLevels, RadixPageTable, VirtTables, WalkMode, WalkPath, MAX_REGIONS};
 pub use psc::{Psc, PscConfig, PscLevel};
 pub use sram_tlb::{SramTlb, TlbLookup, TlbStats};
 pub use tsb::{Tsb, TsbConfig, TsbOutcome};

@@ -200,8 +200,8 @@ const LEVEL_SHIFTS: [u32; 4] = [39, 30, 21, 12];
 /// map skip the three interior levels; `map` fills it when it installs a
 /// 4 KB leaf. A cached path cannot go stale: interior links are
 /// append-only (`map` panics rather than put a leaf over a link or a link
-/// over a leaf, and `unmap` clears only leaves), so only
-/// [`RadixPageTable::restore`] clears it.
+/// over a leaf, and `unmap` clears only leaves), so nothing clears it. A
+/// `clone` copies the cache together with the arena it indexes.
 ///
 /// Node pages are allocated from the table's own [`FrameAlloc`]; the table
 /// does not model PTE contents (permissions etc.), only the structure the
@@ -486,43 +486,10 @@ impl RadixPageTable {
     /// Bytes the table itself occupies in the simulator: chunk tables,
     /// chunks, the node address list and the path cache.
     pub fn storage_bytes(&self) -> u64 {
-        arena_bytes(&self.chunk_of, &self.chunks, &self.node_phys)
-            + std::mem::size_of::<PathCache>() as u64
-    }
-
-    /// Captures the table's complete state. The arena layout makes this a
-    /// handful of `Vec` memcpys — no per-node traversal.
-    pub fn snapshot(&self) -> TableSnapshot {
-        TableSnapshot {
-            root: self.root,
-            chunk_of: self.chunk_of.clone(),
-            chunks: self.chunks.clone(),
-            node_phys: self.node_phys.clone(),
-            n_small: self.n_small,
-            n_large: self.n_large,
-            alloc: self.alloc.clone(),
-        }
-    }
-
-    /// Rewinds the table to a previously captured [`TableSnapshot`].
-    ///
-    /// Restoring into the table that took the snapshot reuses its existing
-    /// storage (mappings installed since the snapshot only ever *grow* the
-    /// arena, so the capacity is already there) — the rewind is a memcpy,
-    /// not a reallocation. It empties the path cache, whose entries may
-    /// name nodes the rewind removed.
-    pub fn restore(&mut self, snap: &TableSnapshot) {
-        self.root = snap.root;
-        self.chunk_of.clear();
-        self.chunk_of.extend_from_slice(&snap.chunk_of);
-        self.chunks.clear();
-        self.chunks.extend_from_slice(&snap.chunks);
-        self.node_phys.clear();
-        self.node_phys.extend_from_slice(&snap.node_phys);
-        self.n_small = snap.n_small;
-        self.n_large = snap.n_large;
-        self.alloc = snap.alloc.clone();
-        self.paths = PathCache::EMPTY;
+        (std::mem::size_of_val(self.chunk_of.as_slice())
+            + std::mem::size_of_val(self.chunks.as_slice())
+            + std::mem::size_of_val(self.node_phys.as_slice())
+            + std::mem::size_of::<PathCache>()) as u64
     }
 }
 
@@ -557,38 +524,6 @@ impl PathCache {
     }
 }
 
-/// A point-in-time copy of one [`RadixPageTable`]'s complete state — the
-/// chunk tables, the chunks, the node address list, and the frame
-/// allocator cursor.
-///
-/// Because the table is a single arena, capture and
-/// [`RadixPageTable::restore`] are both O(table bytes) memcpys with no
-/// pointer graph to chase; this is what makes fork/VM-clone modeling
-/// cheap.
-#[derive(Debug, Clone)]
-pub struct TableSnapshot {
-    root: u64,
-    chunk_of: Vec<u32>,
-    chunks: Vec<[u32; CHUNK_SLOTS]>,
-    node_phys: Vec<u64>,
-    n_small: u64,
-    n_large: u64,
-    alloc: FrameAlloc,
-}
-
-impl TableSnapshot {
-    /// Bytes of arena state this snapshot carries (chunk tables, chunks
-    /// and the node list).
-    pub fn arena_bytes(&self) -> u64 {
-        arena_bytes(&self.chunk_of, &self.chunks, &self.node_phys)
-    }
-
-    /// Number of leaf mappings the captured table held.
-    pub fn mapping_count(&self) -> u64 {
-        self.n_small + self.n_large
-    }
-}
-
 /// The slot index `va` selects in a node at radix `level` (0 = root).
 #[inline]
 fn index(va: u64, level: usize) -> usize {
@@ -616,11 +551,6 @@ fn prefix_of(va: u64) -> u32 {
 #[inline]
 fn leaf_target(slot: u32) -> u64 {
     ((slot & !LEAF_BIT) as u64) << FRAME_SHIFT
-}
-
-fn arena_bytes(chunk_of: &[u32], chunks: &[[u32; CHUNK_SLOTS]], node_phys: &[u64]) -> u64 {
-    (std::mem::size_of_val(chunk_of) + std::mem::size_of_val(chunks) + std::mem::size_of_val(node_phys))
-        as u64
 }
 
 // ---------------------------------------------------------------------------
@@ -890,37 +820,6 @@ impl VirtTables {
     pub fn storage_bytes(&self) -> u64 {
         self.host.storage_bytes() + self.guest.as_ref().map_or(0, RadixPageTable::storage_bytes)
     }
-
-    /// Captures the full translation state of this address space: both
-    /// radix tables and both data-frame allocators.
-    pub fn snapshot(&self) -> TablesSnapshot {
-        TablesSnapshot {
-            mode: self.mode,
-            guest: self.guest.as_ref().map(RadixPageTable::snapshot),
-            host: self.host.snapshot(),
-            guest_data: self.guest_data.clone(),
-            host_data: self.host_data.clone(),
-        }
-    }
-
-    /// Rewinds to a previously captured [`TablesSnapshot`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot came from a [`VirtTables`] of the other
-    /// [`WalkMode`] — snapshots only rewind the address space they were
-    /// taken from (or a clone of it).
-    pub fn restore(&mut self, snap: &TablesSnapshot) {
-        assert_eq!(self.mode, snap.mode, "snapshot walk mode mismatch");
-        match (&mut self.guest, &snap.guest) {
-            (Some(table), Some(s)) => table.restore(s),
-            (None, None) => {}
-            _ => unreachable!("mode equality implies matching guest presence"),
-        }
-        self.host.restore(&snap.host);
-        self.guest_data = snap.guest_data.clone();
-        self.host_data = snap.host_data.clone();
-    }
 }
 
 /// Backs `guest`'s node pages from arena index `first` on with host
@@ -930,25 +829,6 @@ fn back_guest_nodes(guest: &RadixPageTable, first: usize, host: &mut RadixPageTa
     for &node_gpa in &guest.node_phys[first..] {
         let hpa = host_data.alloc(NODE_BYTES);
         host.map(node_gpa, PageSize::Small4K, hpa);
-    }
-}
-
-/// A point-in-time copy of a whole [`VirtTables`] — guest and host
-/// [`TableSnapshot`]s plus the data-frame allocator cursors. Captured by
-/// [`VirtTables::snapshot`], rewound by [`VirtTables::restore`].
-#[derive(Debug, Clone)]
-pub struct TablesSnapshot {
-    mode: WalkMode,
-    guest: Option<TableSnapshot>,
-    host: TableSnapshot,
-    guest_data: FrameAlloc,
-    host_data: FrameAlloc,
-}
-
-impl TablesSnapshot {
-    /// Total arena bytes across both dimensions.
-    pub fn arena_bytes(&self) -> u64 {
-        self.host.arena_bytes() + self.guest.as_ref().map_or(0, TableSnapshot::arena_bytes)
     }
 }
 
@@ -1165,90 +1045,42 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restore_rewinds_mappings() {
-        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
-        t.map(0x1000_0000_0000, PageSize::Small4K, 0x1000);
-        t.map(0x2000_0020_0000, PageSize::Large2M, 0x4000_0000);
-        let snap = t.snapshot();
-        let bytes_at_snap = t.node_bytes();
+    fn a_clone_diverges_without_touching_its_parent() {
+        for mode in [WalkMode::Native, WalkMode::Virtualized] {
+            let mut parent = VirtTables::new(mode);
+            let pages: Vec<Gva> = (0..600).map(|i| Gva::new(0x1000_0000_0000 + (i << 12))).collect();
+            parent.map_run(pages[0], PageSize::Small4K, 600, |_, _| {});
+            let mut child = parent.clone();
+            // Every translation and walk of the parent's pages, and its storage.
+            let state = |vt: &VirtTables| {
+                let pages: Vec<_> = pages
+                    .iter()
+                    .map(|&page| {
+                        let (gpa, _) = vt.guest_translate_page(page).expect("mapped");
+                        (vt.translate(page), vt.guest_walk(page), vt.host_walk(gpa))
+                    })
+                    .collect();
+                (pages, vt.storage_bytes(), vt.node_bytes())
+            };
+            let before = state(&parent);
 
-        // Diverge: add, remove, and remap.
-        t.map(0x3000_0000_0000, PageSize::Small4K, 0x5000);
-        t.map(0x1000_0000_0000, PageSize::Small4K, 0x7000);
-        assert!(t.unmap(0x2000_0020_0000, PageSize::Large2M));
-        assert!(t.node_bytes() > bytes_at_snap);
+            // The child remaps every third page to a fresh frame and maps a
+            // page far from the rest, which needs new nodes.
+            for &page in pages.iter().step_by(3) {
+                assert!(child.unmap(page, PageSize::Small4K));
+                child.ensure_mapped(page, PageSize::Small4K);
+            }
+            let far = Gva::new(0x7000_0000_0000);
+            child.ensure_mapped(far, PageSize::Small4K);
 
-        t.restore(&snap);
-        assert_eq!(t.node_bytes(), bytes_at_snap);
-        assert_eq!(t.mapping_count(), 2);
-        assert_eq!(t.translate(0x1000_0000_0000), Some(0x1000));
-        assert_eq!(t.translate_page(0x2000_0020_0000), Some((0x4000_0000, PageSize::Large2M)));
-        assert_eq!(t.translate(0x3000_0000_0000), None);
-        // The allocator cursor rewound too: mapping again reuses the same
-        // frames the diverged timeline consumed.
-        t.map(0x3000_0000_0000, PageSize::Small4K, 0x5000);
-        assert_eq!(t.translate(0x3000_0000_0000), Some(0x5000));
-    }
-
-    #[test]
-    fn snapshot_is_immutable_under_later_edits() {
-        let mut t = RadixPageTable::new(FrameAlloc::new(0x10_0000, 1 << 30));
-        t.map(0x1000, PageSize::Small4K, 0x9000);
-        let snap = t.snapshot();
-        let count = snap.mapping_count();
-        t.map(0x2000, PageSize::Small4K, 0xa000);
-        t.map(0x3000, PageSize::Small4K, 0xb000);
-        assert_eq!(snap.mapping_count(), count, "snapshot is a copy, not a view");
-        t.restore(&snap);
-        assert_eq!(t.mapping_count(), 1);
-        assert_eq!(t.translate(0x2000), None);
-    }
-
-    #[test]
-    fn virt_tables_snapshot_round_trip() {
-        let mut vt = VirtTables::new(WalkMode::Virtualized);
-        let gva_a = Gva::new(0x1000_0000_0000);
-        let hpa_a = vt.ensure_mapped(gva_a, PageSize::Small4K);
-        let snap = vt.snapshot();
-        assert!(snap.arena_bytes() > 0);
-
-        let gva_b = Gva::new(0x2000_0000_0000);
-        vt.ensure_mapped(gva_b, PageSize::Small4K);
-        assert!(vt.unmap(gva_a, PageSize::Small4K));
-
-        vt.restore(&snap);
-        assert_eq!(vt.translate(gva_a), Some(hpa_a));
-        assert_eq!(vt.translate(gva_b), None);
-        // Re-running the diverged history replays identically: demand
-        // allocation is deterministic from the rewound cursors.
-        let hpa_b1 = vt.ensure_mapped(gva_b, PageSize::Small4K);
-        vt.restore(&snap);
-        let hpa_b2 = vt.ensure_mapped(gva_b, PageSize::Small4K);
-        assert_eq!(hpa_b1, hpa_b2);
-    }
-
-    #[test]
-    fn snapshot_restores_across_clones() {
-        // Fork modeling: clone the space, diverge the child, and verify the
-        // parent's snapshot still rewinds the child to the fork point.
-        let mut parent = VirtTables::new(WalkMode::Virtualized);
-        let gva = Gva::new(0x1000_0000_0000);
-        let hpa = parent.ensure_mapped(gva, PageSize::Small4K);
-        let fork_point = parent.snapshot();
-        let mut child = parent.clone();
-        child.ensure_mapped(Gva::new(0x7000_0000_0000), PageSize::Small4K);
-        assert!(child.unmap(gva, PageSize::Small4K));
-        child.restore(&fork_point);
-        assert_eq!(child.translate(gva), Some(hpa));
-        assert_eq!(child.translate(Gva::new(0x7000_0000_0000)), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "walk mode mismatch")]
-    fn snapshot_mode_mismatch_panics() {
-        let native = VirtTables::new(WalkMode::Native);
-        let mut virt = VirtTables::new(WalkMode::Virtualized);
-        virt.restore(&native.snapshot());
+            assert!(state(&parent) == before, "{mode:?}: the parent changed");
+            assert_eq!(parent.translate(far), None, "{mode:?}: the parent gained the child's page");
+            assert!(child.node_bytes() > parent.node_bytes());
+            for (i, &page) in pages.iter().enumerate() {
+                let differs = child.translate(page) != parent.translate(page);
+                assert_eq!(differs, i % 3 == 0, "{mode:?}: page {i}");
+            }
+        }
     }
 
     #[test]
@@ -1269,7 +1101,6 @@ mod tests {
         assert_eq!(t.storage_bytes(), node(1, 0), "root node, the empty chunk, the path cache");
         t.map(0x1000_0000_0000, PageSize::Small4K, 0x1000);
         assert_eq!(t.storage_bytes(), node(4, 4), "one chunk per level holds the path");
-        assert_eq!(t.snapshot().arena_bytes(), t.storage_bytes() - 512, "a snapshot has no cache");
         t.map(0x1000_0000_1000, PageSize::Small4K, 0x2000);
         assert_eq!(t.storage_bytes(), node(4, 4), "slot 1 shares slot 0's chunk");
         t.map(0x1000_0002_0000, PageSize::Small4K, 0x3000);
@@ -1318,7 +1149,6 @@ mod tests {
     /// a leaf holds the full target address with bit 63 set — kept as an
     /// independent model of their behaviour. It also notes which 32-slot
     /// chunks were ever written, which fixes the chunked table's storage.
-    #[derive(Clone)]
     struct RefTable {
         slots: Vec<u64>,
         node_phys: Vec<u64>,
@@ -1417,11 +1247,9 @@ mod tests {
         }
     }
 
-    /// Replays a seeded map/unmap/translate/walk/snapshot/restore script
-    /// against the chunked 4-byte slot table and the `u64`-slot reference
-    /// model, asserting identical results, mapping counts, node allocation
-    /// and storage. A restore must drop the cached paths of the nodes it
-    /// rewinds away.
+    /// Replays a seeded map/unmap/translate/walk script against the chunked
+    /// 4-byte slot table and the `u64`-slot reference model, asserting
+    /// identical results, mapping counts, node allocation and storage.
     #[test]
     fn packed_slots_match_u64_reference() {
         // Node pages at the top of the host page-table region, so every
@@ -1429,7 +1257,6 @@ mod tests {
         let alloc = FrameAlloc::new(HPA_NODE_BASE + HPA_NODE_SIZE - (64 << 20), 64 << 20);
         let mut t = RadixPageTable::new(alloc.clone());
         let mut model = RefTable::new(alloc);
-        let mut saved = (t.snapshot(), model.clone());
         // Targets at the top of each simulated physical region.
         let tops = [
             GPA_DATA_BASE + GPA_DATA_SIZE,
@@ -1446,7 +1273,6 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             x >> 17
         };
-        let (mut snapshots, mut restores) = (0, 0);
         for step in 0..30_000u32 {
             let op = next() % 64;
             let r = next();
@@ -1469,16 +1295,7 @@ mod tests {
                 }
                 24..=31 => assert_eq!(t.unmap(va, size), model.unmap(va, size), "unmap diverged at step {step}"),
                 32..=46 => assert_eq!(t.translate(probe), model.translate(probe), "translate at step {step}"),
-                47..=61 => assert_eq!(t.walk(probe), model.walk(probe), "walk diverged at step {step}"),
-                62 => {
-                    saved = (t.snapshot(), model.clone());
-                    snapshots += 1;
-                }
-                _ => {
-                    t.restore(&saved.0);
-                    model = saved.1.clone();
-                    restores += 1;
-                }
+                _ => assert_eq!(t.walk(probe), model.walk(probe), "walk diverged at step {step}"),
             }
             if step.is_multiple_of(1000) {
                 assert_eq!(t.mapping_count(), model.n_mapped, "mapping count at step {step}");
@@ -1486,7 +1303,6 @@ mod tests {
                 assert_eq!(t.storage_bytes(), model.chunked_bytes(), "storage at step {step}");
             }
         }
-        assert!(snapshots > 100 && restores > 100, "{snapshots} snapshots, {restores} restores");
         assert_eq!(t.mapping_count(), model.n_mapped);
         assert!(t.mapping_count() > 1000);
         assert_eq!(t.node_phys, model.node_phys);

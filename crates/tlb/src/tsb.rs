@@ -27,10 +27,9 @@ use serde::{Deserialize, Serialize};
 /// TSB configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TsbConfig {
-    /// Total capacity in bytes (paper: 16 MB, same as the POM-TLB).
+    /// Total capacity in bytes (paper: 16 MB, same as the POM-TLB), in
+    /// 16-byte entries.
     pub capacity_bytes: u64,
-    /// Bytes per TSB entry (16, as in the POM-TLB entry format).
-    pub entry_bytes: u64,
     /// Cycles to enter and leave the OS trap handler on an L2 TLB miss.
     pub trap_cycles: Cycles,
     /// Base host-physical address of the buffer.
@@ -41,13 +40,16 @@ impl Default for TsbConfig {
     fn default() -> Self {
         TsbConfig {
             capacity_bytes: 16 << 20,
-            entry_bytes: 16,
             // SPARC spill/fill-style trap entry + handler prologue/epilogue.
             trap_cycles: Cycles::new(40),
             base: Hpa::new(0x70_0000_0000),
         }
     }
 }
+
+/// Bytes per TSB entry: one packed slot word, 16 bytes as in the POM-TLB
+/// entry format.
+const ENTRY_BYTES: u64 = std::mem::size_of::<u128>() as u64;
 
 /// Result of a TSB translation attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,7 +144,7 @@ impl Tsb {
     ///
     /// Panics if the slot count is not a power of two.
     pub fn new(config: TsbConfig) -> Tsb {
-        let slots = config.capacity_bytes / config.entry_bytes;
+        let slots = config.capacity_bytes / ENTRY_BYTES;
         assert!(slots.is_power_of_two(), "TSB slot count must be a power of two");
         Tsb { config, slots: vec![0; slots as usize], hits: 0, misses: 0, conflicts: 0 }
     }
@@ -154,7 +156,7 @@ impl Tsb {
 
     /// Bytes of slot storage the buffer allocates: 16 per slot.
     pub fn storage_bytes(&self) -> u64 {
-        (self.slots.len() * std::mem::size_of::<u128>()) as u64
+        self.slots.len() as u64 * ENTRY_BYTES
     }
 
     /// The slot `(space, dim, vpn)` maps to. The host dimension hashes the
@@ -173,7 +175,7 @@ impl Tsb {
     }
 
     fn slot_addr(&self, index: usize) -> Hpa {
-        Hpa::new(self.config.base.raw() + index as u64 * self.config.entry_bytes)
+        Hpa::new(self.config.base.raw() + index as u64 * ENTRY_BYTES)
     }
 
     /// Attempts a full virtualized translation of `gva`: trap, then a
@@ -498,7 +500,7 @@ mod tests {
 
     impl RefTsb {
         fn new(config: TsbConfig) -> RefTsb {
-            let n = (config.capacity_bytes / config.entry_bytes) as usize;
+            let n = (config.capacity_bytes / ENTRY_BYTES) as usize;
             RefTsb { config, slots: vec![None; n], hits: 0, misses: 0, conflicts: 0 }
         }
 
@@ -526,7 +528,7 @@ mod tests {
             now: Cycles,
         ) -> TsbOutcome {
             let load = |index: usize, hier: &mut Hierarchy, dram: &mut Channel, at: Cycles| {
-                let addr = Hpa::new(self.config.base.raw() + index as u64 * self.config.entry_bytes);
+                let addr = Hpa::new(self.config.base.raw() + index as u64 * ENTRY_BYTES);
                 let probe = hier.access_tlb_line(core, addr, false);
                 if probe.hit() {
                     probe.latency

@@ -7,7 +7,7 @@
 //! `#[derive(Hash)]` + SipHash with its per-process random keys — which is
 //! what lets a digest computed today name a file written last month.
 //!
-//! The trace store's POMTRC2 format ([`crate::file`] / `disk`) addresses
+//! The trace store's POMTRC2 format (`disk`) addresses
 //! recordings by [`digest256`] of a canonical [`crate::TraceKey`] encoding;
 //! the report store in `pomtlb-serve` addresses memoized reports by
 //! [`digest256`] of a canonical request encoding. Keeping one construction

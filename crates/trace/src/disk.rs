@@ -20,7 +20,7 @@
 //! 88     8   FNV-1a 64 checksum of the events section
 //! 96     8   FNV-1a 64 checksum of header bytes [0, 96)
 //! 104        cores  section: n_items  ×  2-byte issuing-core id
-//!            refs   section: n_refs   × 22-byte POMTRC1 record
+//!            refs   section: n_refs   × 22-byte record
 //!            events section: n_events × 32-byte event record
 //! ```
 //!
@@ -41,7 +41,6 @@
 //! any mismatch is an `InvalidData` error the [`crate::TraceStore`] turns
 //! into a warn-and-regenerate fallback, never a wrong answer.
 
-use std::fmt;
 use std::io::{self, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -50,12 +49,11 @@ use pomtlb_types::{AddressSpace, Gva, PageSize, ProcessId, VmId};
 
 pub(crate) use crate::digest::{digest256, digest_hex, fnv1a64};
 use crate::event::{OsEvent, OsEventKind};
-use crate::file::RECORD_BYTES;
+use crate::record::RECORD_BYTES;
 use crate::shared::TraceKey;
 use crate::spec::LocalityModel;
 
-/// File magic; POMTRC1 is the bare per-core record stream, POMTRC2 the
-/// store's merged-and-checksummed recording.
+/// File magic of the store's merged-and-checksummed recording.
 pub(crate) const STORE_MAGIC: &[u8; 8] = b"POMTRC2\n";
 /// Bumped whenever the layout above changes; readers reject other versions.
 /// Version 3 added the tenant-mix fields to the key encoding: records are
@@ -418,10 +416,9 @@ pub(crate) fn validate_sections(bytes: &[u8], h: &StoredHeader) -> io::Result<()
 /// and record-level decode of the events section plus the refs kind bytes.
 /// Returns the header on success.
 pub(crate) fn verify_file(path: &Path) -> io::Result<StoredHeader> {
-    let map = Mapping::open(path)?;
-    let bytes = map.bytes();
-    let h = parse_header(bytes)?;
-    validate_sections(bytes, &h)?;
+    let bytes = std::fs::read(path)?;
+    let h = parse_header(&bytes)?;
+    validate_sections(&bytes, &h)?;
     decode_events(&bytes[h.events_range.clone()], h.n_items)?;
     for rec in bytes[h.refs_range.clone()].chunks_exact(RECORD_BYTES) {
         if rec[20] > 1 || rec[21] != 0 {
@@ -429,156 +426,6 @@ pub(crate) fn verify_file(path: &Path) -> io::Result<StoredHeader> {
         }
     }
     Ok(h)
-}
-
-// ---------------------------------------------------------------------------
-// Mapping: the read side's backing storage.
-
-#[cfg(all(feature = "mmap", not(unix)))]
-compile_error!("the `mmap` feature requires a unix target");
-
-/// Minimal read-only memory mapping declared directly against the C
-/// runtime, so the opt-in `mmap` feature adds no external dependency.
-#[cfg(feature = "mmap")]
-#[allow(unsafe_code)]
-mod sys_mmap {
-    use core::ffi::c_void;
-    use std::fs::File;
-    use std::io;
-    use std::os::fd::AsRawFd;
-
-    const PROT_READ: i32 = 0x1;
-    const MAP_PRIVATE: i32 = 0x2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut c_void;
-        fn munmap(addr: *mut c_void, len: usize) -> i32;
-    }
-
-    /// An immutable, process-private mapping of an entire file.
-    pub(crate) struct Mmap {
-        ptr: *mut c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is read-only for its whole lifetime and unmapped
-    // exactly once in `Drop`, so sharing references across threads is fine.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps all of `file` read-only. Empty files get an empty view
-        /// without touching `mmap(2)`, which rejects zero-length maps.
-        pub(crate) fn map(file: &File) -> io::Result<Mmap> {
-            let len = file.metadata()?.len();
-            if len > isize::MAX as u64 {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    "file too large to map",
-                ));
-            }
-            let len = len as usize;
-            if len == 0 {
-                return Ok(Mmap { ptr: std::ptr::null_mut(), len: 0 });
-            }
-            // SAFETY: plain FFI call; a MAP_FAILED return is checked below,
-            // and the store treats the underlying file as immutable once
-            // renamed into place — rewrites go through a tmp file + atomic
-            // rename, and a file changed behind our back is caught by the
-            // checksums validated before any decode.
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as isize == -1 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Mmap { ptr, len })
-        }
-
-        /// The mapped bytes.
-        pub(crate) fn bytes(&self) -> &[u8] {
-            if self.len == 0 {
-                return &[];
-            }
-            // SAFETY: `ptr` is a live PROT_READ mapping of exactly `len`
-            // bytes, never written through, and unmapped only in `Drop`.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            if self.len != 0 {
-                // SAFETY: `ptr`/`len` are the exact values returned by the
-                // successful `mmap` call in `map`.
-                unsafe { munmap(self.ptr, self.len) };
-            }
-        }
-    }
-}
-
-/// A read-only view of one recording file.
-///
-/// With the `mmap` feature the file is memory-mapped (replay decodes
-/// straight out of the page cache, zero copies); without it the file is
-/// read once into an owned buffer — same bytes, same API, no `unsafe`.
-pub(crate) struct Mapping {
-    #[cfg(feature = "mmap")]
-    map: sys_mmap::Mmap,
-    #[cfg(not(feature = "mmap"))]
-    map: Vec<u8>,
-}
-
-impl Mapping {
-    /// Opens `path` for zero-copy (or buffered, without `mmap`) reading.
-    pub(crate) fn open(path: &Path) -> io::Result<Mapping> {
-        #[cfg(feature = "mmap")]
-        {
-            let file = std::fs::File::open(path)?;
-            Ok(Mapping { map: sys_mmap::Mmap::map(&file)? })
-        }
-        #[cfg(not(feature = "mmap"))]
-        {
-            Ok(Mapping { map: std::fs::read(path)? })
-        }
-    }
-
-    /// The file contents.
-    pub(crate) fn bytes(&self) -> &[u8] {
-        #[cfg(feature = "mmap")]
-        {
-            self.map.bytes()
-        }
-        #[cfg(not(feature = "mmap"))]
-        {
-            &self.map
-        }
-    }
-
-    /// File length in bytes.
-    pub(crate) fn len(&self) -> usize {
-        self.bytes().len()
-    }
-}
-
-impl fmt::Debug for Mapping {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Mapping({} bytes)", self.len())
-    }
 }
 
 #[cfg(test)]
@@ -731,7 +578,7 @@ mod tests {
                 pomtlb_types::AccessKind::Read,
                 AddressSpace::default(),
             );
-            crate::file::encode_record(&r, &mut rbuf);
+            crate::record::encode_record(&r, &mut rbuf);
             refs.extend_from_slice(&rbuf);
         }
         let events = vec![
@@ -816,7 +663,7 @@ mod tests {
                 kind,
                 AddressSpace::default(),
             );
-            crate::file::encode_record(&r, &mut rbuf);
+            crate::record::encode_record(&r, &mut rbuf);
             refs.extend_from_slice(&rbuf);
         }
         let events: Vec<(u64, OsEvent)> = (0..n_events)

@@ -40,18 +40,12 @@
 //! assert_eq!(first, again, "same seed, same trace");
 //! ```
 
-// The crate is `unsafe`-free except for the audited `disk::sys_mmap` FFI
-// module, which only exists under the opt-in `mmap` feature — so the lint
-// can stay a hard `forbid` for the default build and a `deny` (overridden
-// only in that one module) when the feature is on.
-#![cfg_attr(not(feature = "mmap"), forbid(unsafe_code))]
-#![cfg_attr(feature = "mmap", deny(unsafe_code))]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod digest;
 mod disk;
 mod event;
-pub mod file;
 mod generator;
 mod interleave;
 pub mod manifest;
@@ -68,7 +62,6 @@ pub use event::{
     OsEvent, OsEventGenerator, OsEventKind, OsEventRates, TraceItem, WorkloadStream,
     PROMOTE_WINDOW_PAGES,
 };
-pub use file::{write_trace, TraceReader};
 pub use generator::{AddressLayout, TraceGenerator, LARGE_REGION_BASE, SMALL_REGION_BASE};
 pub use interleave::{interleaver_constructions, CoreItem, CoreRef, Interleaver, Timestamped};
 pub use record::MemoryRef;

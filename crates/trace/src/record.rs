@@ -1,6 +1,8 @@
-//! The trace record type.
+//! The trace record type and its 22-byte binary record.
 
-use pomtlb_types::{AccessKind, AddressSpace, Gva};
+use std::io;
+
+use pomtlb_types::{AccessKind, AddressSpace, Gva, ProcessId, VmId};
 use serde::{Deserialize, Serialize};
 
 /// One memory reference from a trace, mirroring the fields the paper's
@@ -31,10 +33,56 @@ impl MemoryRef {
     }
 }
 
+/// Bytes per encoded [`MemoryRef`], little-endian:
+///
+/// ```text
+/// icount u64 | addr u64 | vm u16 | pid u16 | kind u8 | pad u8
+/// ```
+///
+/// The refs section of a POMTRC2 recording and the buffer of a
+/// [`crate::SharedTrace`] are runs of these records.
+pub(crate) const RECORD_BYTES: usize = 22;
+
+pub(crate) fn encode_record(r: &MemoryRef, buf: &mut [u8; RECORD_BYTES]) {
+    buf[0..8].copy_from_slice(&r.icount.to_le_bytes());
+    buf[8..16].copy_from_slice(&r.addr.raw().to_le_bytes());
+    buf[16..18].copy_from_slice(&r.space.vm.0.to_le_bytes());
+    buf[18..20].copy_from_slice(&r.space.process.0.to_le_bytes());
+    buf[20] = match r.kind {
+        AccessKind::Read => 0,
+        AccessKind::Write => 1,
+    };
+    buf[21] = 0;
+}
+
+pub(crate) fn decode_record(buf: &[u8; RECORD_BYTES]) -> io::Result<MemoryRef> {
+    let icount = u64::from_le_bytes(buf[0..8].try_into().expect("8 bytes"));
+    let addr = u64::from_le_bytes(buf[8..16].try_into().expect("8 bytes"));
+    let vm = u16::from_le_bytes(buf[16..18].try_into().expect("2 bytes"));
+    let pid = u16::from_le_bytes(buf[18..20].try_into().expect("2 bytes"));
+    let kind = match buf[20] {
+        0 => AccessKind::Read,
+        1 => AccessKind::Write,
+        other => {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("invalid access kind byte {other}"),
+            ))
+        }
+    };
+    Ok(MemoryRef::new(
+        icount,
+        Gva::new(addr),
+        kind,
+        AddressSpace::new(VmId(vm), ProcessId(pid)),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pomtlb_types::{ProcessId, VmId};
+    use crate::spec::{LocalityModel, WorkloadSpec};
+    use crate::TraceGenerator;
 
     #[test]
     fn construction_and_fields() {
@@ -52,5 +100,34 @@ mod tests {
         let json = serde_json::to_string(&r).unwrap();
         let back: MemoryRef = serde_json::from_str(&json).unwrap();
         assert_eq!(r, back);
+    }
+
+    #[test]
+    fn round_trip_preserves_every_field() {
+        let spec = WorkloadSpec::builder("record-test")
+            .footprint_bytes(8 << 20)
+            .large_page_frac(0.3)
+            .locality(LocalityModel::UniformRandom)
+            .build();
+        let space = AddressSpace::new(VmId(0x1234), ProcessId(0xbeef));
+        let refs: Vec<MemoryRef> = TraceGenerator::with_space(&spec, 7, space)
+            .take(500)
+            .collect();
+        assert!(refs.iter().any(|r| r.kind.is_write()) && refs.iter().any(|r| !r.kind.is_write()));
+        let mut buf = [0u8; RECORD_BYTES];
+        for r in &refs {
+            encode_record(r, &mut buf);
+            assert_eq!(decode_record(&buf).unwrap(), *r);
+        }
+    }
+
+    #[test]
+    fn rejects_corrupt_kind_byte() {
+        let r = MemoryRef::new(1, Gva::new(0x1000), AccessKind::Read, AddressSpace::default());
+        let mut buf = [0u8; RECORD_BYTES];
+        encode_record(&r, &mut buf);
+        buf[20] = 9; // the kind byte
+        let err = decode_record(&buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -7,8 +7,8 @@
 //! time. [`SharedTrace`] records that merged stream once into a compact
 //! in-memory buffer and replays it to every consumer.
 //!
-//! Storage reuses the POMTRC1 record encoding from [`crate::file`]
-//! (22 bytes per memory reference), plus one `u16` core id per item and a
+//! Storage is the 22-byte [`MemoryRef`](crate::MemoryRef) record (the refs
+//! section of a POMTRC2 recording), plus one `u16` core id per item and a
 //! sparse side-list of OS events, so a shared 4.2 M-reference compare input
 //! is ~100 MB instead of four generator re-runs.
 //!
@@ -28,23 +28,24 @@ use std::sync::Arc;
 
 use pomtlb_types::{AddressSpace, CoreId, ProcessId, VmId};
 
-use crate::disk::{self, Mapping, CORE_BYTES};
+use crate::disk::{self, CORE_BYTES};
 use crate::event::{OsEvent, TraceItem, WorkloadStream};
-use crate::file::{decode_record, encode_record, RECORD_BYTES};
 use crate::interleave::{CoreItem, Interleaver};
+use crate::record::{decode_record, encode_record, RECORD_BYTES};
 use crate::spec::WorkloadSpec;
 
 /// Backing storage of one recording section: a buffer the generator owns,
-/// or a byte range inside a store [`Mapping`] (replayed recordings decode
-/// in place; the `Arc` keeps the mapping alive for every sharing iterator).
+/// or a byte range of a store file read into memory (replayed recordings
+/// decode in place; the `Arc` keeps the file's bytes alive for every
+/// sharing iterator).
 #[derive(Debug, Clone)]
 pub(crate) enum Section {
     /// Recorded live into an owned buffer.
     Owned(Vec<u8>),
     /// A byte range of a persistent recording.
     Stored {
-        /// The mapped (or read) file.
-        map: Arc<Mapping>,
+        /// The whole file.
+        file: Arc<Vec<u8>>,
         /// Section start within the file.
         offset: usize,
         /// Section length in bytes.
@@ -56,7 +57,7 @@ impl Section {
     fn as_bytes(&self) -> &[u8] {
         match self {
             Section::Owned(v) => v,
-            Section::Stored { map, offset, len } => &map.bytes()[*offset..*offset + *len],
+            Section::Stored { file, offset, len } => &file[*offset..*offset + *len],
         }
     }
 
@@ -112,7 +113,7 @@ pub struct SharedTrace {
     /// Issuing core of every item (reference or event) as little-endian
     /// `u16`s, in merge order.
     cores: Section,
-    /// POMTRC1-encoded records of the reference items, in merge order.
+    /// 22-byte records of the reference items, in merge order.
     refs: Section,
     /// OS events as (item position, event), sparse and position-sorted.
     events: Vec<(u64, OsEvent)>,
@@ -221,15 +222,14 @@ impl SharedTrace {
         self.events.len() as u64
     }
 
-    /// Approximate heap (or mapped-file) footprint of the recording, in
-    /// bytes.
+    /// Approximate heap footprint of the recording, in bytes.
     pub fn buffer_bytes(&self) -> usize {
         self.refs.len()
             + self.cores.len()
             + self.events.len() * std::mem::size_of::<(u64, OsEvent)>()
     }
 
-    /// Whether the recording replays out of a persistent store mapping
+    /// Whether the recording replays out of a persistent store file
     /// rather than a live-generated buffer.
     pub fn is_stored(&self) -> bool {
         matches!(self.refs, Section::Stored { .. })
@@ -240,7 +240,7 @@ impl SharedTrace {
         self.cores.as_bytes()
     }
 
-    /// The refs section bytes (POMTRC1 records).
+    /// The refs section bytes (22-byte records).
     pub(crate) fn refs_bytes(&self) -> &[u8] {
         self.refs.as_bytes()
     }

@@ -4,8 +4,8 @@
 //! batch; every recording still died with the process. The store spills
 //! recordings to disk in the checksummed POMTRC2 format (see `disk`) so the
 //! *next* invocation — a repeated `experiments` sweep, a CI perf run on a
-//! restored cache — replays every stream straight off the page cache and
-//! runs **zero** generator passes.
+//! restored cache — reads each recording once from its file and runs
+//! **zero** generator passes.
 //!
 //! # Layout on disk
 //!
@@ -40,7 +40,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
-use crate::disk::{self, Mapping};
+use crate::disk;
 use crate::manifest::{check_name, Codec, Row, Store};
 use crate::shared::{Section, SharedTrace, TraceKey};
 use crate::spec::WorkloadSpec;
@@ -54,7 +54,7 @@ pub const STORE_FORMAT_VERSION: u32 = disk::FORMAT_VERSION;
 pub const DEFAULT_MAX_BYTES: u64 = 2 << 30;
 
 /// The POMTRC2 codec: recordings keyed by [`TraceKey`], replayed from
-/// their mapping without copying the bulk sections.
+/// their file's bytes without copying the bulk sections.
 #[derive(Debug)]
 pub struct TraceCodec;
 
@@ -161,8 +161,8 @@ impl Codec for TraceCodec {
     }
 
     fn decode(path: &Path, key: &TraceKey) -> io::Result<(Arc<SharedTrace>, u64)> {
-        let map = Arc::new(Mapping::open(path)?);
-        let bytes = map.bytes();
+        let file = Arc::new(std::fs::read(path)?);
+        let bytes = file.as_slice();
         let file_bytes = bytes.len() as u64;
         let header = disk::parse_header(bytes)?;
         if header.digest != key.digest() {
@@ -173,15 +173,15 @@ impl Codec for TraceCodec {
         }
         disk::validate_sections(bytes, &header)?;
         // Events are sparse: decode them eagerly (with full validation) and
-        // keep the two bulk sections zero-copy inside the mapping.
+        // keep the two bulk sections in place inside the file's bytes.
         let events = disk::decode_events(&bytes[header.events_range.clone()], header.n_items)?;
         let cores = Section::Stored {
-            map: Arc::clone(&map),
+            file: Arc::clone(&file),
             offset: header.cores_range.start,
             len: header.cores_range.len(),
         };
         let refs = Section::Stored {
-            map,
+            file,
             offset: header.refs_range.start,
             len: header.refs_range.len(),
         };
@@ -202,9 +202,9 @@ impl Codec for TraceCodec {
     /// Not indexed (the manifest is advisory): the record counts come
     /// from the file header itself.
     fn unindexed(path: &Path, digest: String, bytes: u64, last_used: u64) -> StoreEntry {
-        let (refs, events) = Mapping::open(path)
+        let (refs, events) = std::fs::read(path)
             .ok()
-            .and_then(|m| disk::parse_header(m.bytes()).ok())
+            .and_then(|bytes| disk::parse_header(&bytes).ok())
             .map(|h| (h.n_refs, h.n_events))
             .unwrap_or((0, 0));
         StoreEntry {

@@ -1,4 +1,4 @@
-//! Fork-time copy-on-write modeled with arena page-table snapshots.
+//! Fork-time copy-on-write modeled with page-table clones.
 //!
 //! `fork()` (or a VM clone) duplicates an address space at an instant: the
 //! child starts from a byte-identical copy of the parent's page tables and
@@ -9,10 +9,9 @@
 //! shootdown *storm*, and it must leave the parent's translations
 //! untouched.
 //!
-//! The single-`Vec` arena layout of `RadixPageTable` makes the fork itself
-//! one memcpy: [`pomtlb_tlb::VirtTables::snapshot`] captures the tables,
-//! `clone` *is* the child's copy, and [`pomtlb_tlb::VirtTables::restore`]
-//! rewinds to the fork point.
+//! The arena layout of `RadixPageTable` makes the fork itself a handful of
+//! `Vec` memcpys: `clone` *is* the child's copy, and a second `clone`
+//! records the fork point the parent is checked against.
 //!
 //! ```sh
 //! cargo run --release --example fork_shootdown
@@ -49,14 +48,14 @@ fn main() {
     }
 
     // --- fork() ---------------------------------------------------------
-    // The child's tables are an arena copy of the parent's; the snapshot
+    // The child's tables are an arena copy of the parent's; a second copy
     // pins the fork point so we can prove later that the parent never
     // moved off it.
-    let fork_point = parent.snapshot();
+    let fork_point = parent.clone();
     let mut child = parent.clone();
     println!(
-        "fork: copied {} bytes of page-table arenas ({} mappings) in one memcpy",
-        fork_point.arena_bytes(),
+        "fork: copied {} bytes of page-table arenas and path caches ({} mappings)",
+        fork_point.storage_bytes(),
         PAGES,
     );
     // Both sides share frames until a write; the child warms its own TLB
@@ -95,8 +94,8 @@ fn main() {
 
     // --- the parent is untouched ----------------------------------------
     // Its mappings still resolve to the pre-fork frames, its POM-TLB
-    // entries survived the storm, and restoring the fork-point snapshot
-    // is a no-op on its tables.
+    // entries survived the storm, and its tables still match the copy
+    // taken at the fork.
     for (page, before) in pages.iter().zip(&parent_frames) {
         assert_eq!(parent.translate(*page), Some(*before), "parent frame moved");
         assert!(
@@ -104,10 +103,8 @@ fn main() {
             "parent POM-TLB entry was collateral damage"
         );
     }
-    let mut rewound = parent.clone();
-    rewound.restore(&fork_point);
     for page in &pages {
-        assert_eq!(rewound.translate(*page), parent.translate(*page));
+        assert_eq!(fork_point.translate(*page), parent.translate(*page));
     }
     println!("parent: all {PAGES} translations intact and identical to the fork point");
 
